@@ -13,8 +13,11 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import nsmallest
+from itertools import islice
 
 from .corpus import Label
 from .features import FeatureVector
@@ -83,6 +86,100 @@ class TrainedModel:
     n_slots: int
     has_length: bool
     vocab_fingerprint: str | None
+
+    def validate(self) -> None:
+        """Check the parameters against this kind's shape and n_slots.
+
+        For models read from a file, whose parser has already refused
+        non-finite numbers; raises ValueError on the first problem. Every
+        model train() returns passes.
+        """
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown classifier kind {self.kind!r}")
+        if self.kind != "baseline":
+            _PARAM_CHECKS[self.kind](self.params, self.n_slots)
+
+    @cached_property
+    def knn_postings(self) -> dict[int, list[tuple[int, float]]]:
+        """knn's inverted index, built on first use and never saved."""
+        return _knn_postings(self.params)
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
+
+
+def _is_index(x, bound: int) -> bool:
+    return type(x) is int and 0 <= x < bound
+
+
+def _check_vector(values, n_slots: int, what: str) -> None:
+    if len(values) != n_slots:
+        raise ValueError(f"{what} has {len(values)} entries, expected {n_slots}")
+    if not all(_is_number(x) for x in values):
+        raise ValueError(f"{what} holds a value that is not a number")
+
+
+def _check_nb(params: dict, n_slots: int) -> None:
+    for key in ("spam", "ham"):
+        if not _is_number(params["log_prior"][key]):
+            raise ValueError(f"nb log_prior[{key!r}] is not a number")
+        _check_vector(params["log_likelihood"][key], n_slots, f"nb log_likelihood[{key!r}]")
+
+
+def _check_linear(params: dict, n_slots: int) -> None:
+    _check_vector(params["weights"], n_slots, "weights")
+    if not _is_number(params["bias"]):
+        raise ValueError("bias is not a number")
+
+
+def _check_dt(params: dict, n_slots: int) -> None:
+    nodes = params["nodes"]
+    if not _is_index(params["root"], len(nodes)):
+        raise ValueError(f"dt root {params['root']!r} is not a node index")
+    for j, node in enumerate(nodes):
+        if "feature" in node:
+            # train() appends both children before their parent, so a child
+            # index below the parent's also rules out cycles.
+            ok = (
+                _is_index(node["feature"], n_slots)
+                and _is_number(node["threshold"])
+                and _is_index(node["left"], j)
+                and _is_index(node["right"], j)
+            )
+        else:
+            ok = _is_number(node["spam_fraction"])
+        if not ok:
+            raise ValueError(f"dt node {j} is malformed")
+
+
+def _check_knn(params: dict, n_slots: int) -> None:
+    k, rows, norms, labels = params["k"], params["rows"], params["norms"], params["labels"]
+    if not (type(k) is int and k >= 1):
+        raise ValueError(f"knn k must be an integer >= 1, got {k!r}")
+    if not len(rows) == len(norms) == len(labels) >= 1:
+        raise ValueError(
+            f"knn has {len(rows)} rows, {len(norms)} norms and {len(labels)} labels"
+        )
+    for r, row in enumerate(rows):
+        prev = -1
+        for i, v in row:
+            if not (_is_index(i, n_slots) and i > prev and _is_number(v)):
+                raise ValueError(f"knn row {r} has a bad entry [{i!r}, {v!r}]")
+            prev = i
+    if not all(_is_number(x) for x in norms):
+        raise ValueError("knn norms hold a value that is not a number")
+    if not all(lab in ("spam", "ham") for lab in labels):
+        raise ValueError("knn labels must be 'spam' or 'ham'")
+
+
+_PARAM_CHECKS = {
+    "nb": _check_nb,
+    "svm": _check_linear,
+    "lr": _check_linear,
+    "dt": _check_dt,
+    "knn": _check_knn,
+}
 
 
 def rule_baseline(raw_text: str) -> Prediction:
@@ -181,7 +278,7 @@ def decision_score(model: TrainedModel, vector: FeatureVector) -> float:
         return _sigmoid(_margin(model.params, vector))
     if model.kind == "dt":
         return _score_dt(model.params, vector)
-    return _score_knn(model.params, vector)
+    return _score_knn(model.params, vector, model.knn_postings)
 
 
 def _sigmoid(a: float) -> float:
@@ -386,27 +483,56 @@ def _train_knn(vectors, spam_flags, k: int) -> dict:
     }
 
 
-def _knn_neighbors(params: dict, vector: FeatureVector) -> list[int]:
+def _knn_postings(params: dict) -> dict[int, list[tuple[int, float]]]:
+    """Inverted index over the stored rows: slot -> [(row, value)] by row.
+
+    Zero-norm rows are left out; they sit at distance 1.0 from every query,
+    the same as rows that share no slot with it.
+    """
+    postings: dict[int, list[tuple[int, float]]] = {}
+    for r, (row, rn) in enumerate(zip(params["rows"], params["norms"])):
+        if rn != 0.0:
+            for i, v in row:
+                postings.setdefault(i, []).append((r, v))
+    return postings
+
+
+def _knn_neighbors(params: dict, vector: FeatureVector, postings=None) -> list[int]:
     """Indices of the k nearest training rows by cosine distance.
 
     Distance ties resolve to the lower training index. A zero-norm side makes
-    the similarity zero, i.e. maximal distance.
+    the similarity zero, i.e. maximal distance. Only rows sharing a slot with
+    the query are scored, through ``postings`` (built from params when not
+    given). Walking the query's slots in ascending order hands each row its
+    products in its own stored order, so each dot product is the same sum a
+    scan over every stored entry gives: the entries it skips add only 0.0,
+    which changes neither a plain nor a compensated float sum. The products
+    go through sum() rather than a running total because sum() compensates
+    from Python 3.12 on.
     """
-    q = dict(vector.slot_items())
-    qn = math.sqrt(sum(v * v for v in q.values()))
-    k = min(params["k"], len(params["rows"]))
-    scored = []
-    for idx, (row, rn) in enumerate(zip(params["rows"], params["norms"])):
-        if qn == 0.0 or rn == 0.0:
-            sim = 0.0
-        else:
-            sim = sum(v * q.get(i, 0.0) for i, v in row) / (qn * rn)
-        scored.append((1.0 - sim, idx))
+    items = vector.slot_items()
+    qn = math.sqrt(sum(v * v for _, v in items))
+    n = len(params["rows"])
+    k = min(params["k"], n)
+    if qn == 0.0:
+        return list(range(k))
+    if postings is None:
+        postings = _knn_postings(params)
+    products: defaultdict[int, list[float]] = defaultdict(list)
+    for i, qv in items:
+        for r, v in postings.get(i, ()):
+            products[r].append(v * qv)
+    norms = params["norms"]
+    scored = [(1.0 - sum(p) / (qn * norms[r]), r) for r, p in products.items()]
+    # Every untouched row is at distance 1.0; only the k lowest-indexed ones
+    # can beat another row at that distance.
+    untouched = (r for r in range(n) if r not in products)
+    scored.extend((1.0, r) for r in islice(untouched, k))
     return [idx for _, idx in nsmallest(k, scored)]
 
 
-def _score_knn(params: dict, vector: FeatureVector) -> float:
-    neighbors = _knn_neighbors(params, vector)
+def _score_knn(params: dict, vector: FeatureVector, postings) -> float:
+    neighbors = _knn_neighbors(params, vector, postings)
     labels = params["labels"]
     spam_votes = sum(1 for i in neighbors if labels[i] == "spam")
     return spam_votes / len(neighbors)

@@ -16,8 +16,14 @@ import sys
 
 from .corpus import CorpusError, load_corpus, stratified_kfold, Label
 from .evaluation import reference_grid, format_table, run_grid, write_csv
-from .pipeline import FittedPipeline, ModelFileError, PipelineConfig
-from .preprocess import EntityRuleSet, fit_collocations, segment, tag_entities
+from .pipeline import (
+    FittedPipeline,
+    ModelFileError,
+    PipelineConfig,
+    fit_segmentation,
+    normalize,
+)
+from .preprocess import EntityRuleSet
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -251,22 +257,15 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     if args.passes < 1:
         raise ValueError(f"--passes must be >= 1, got {args.passes}")
-    texts = [m.text for m in corpus.messages]
-    if args.nfc:
-        import unicodedata
-
-        texts = [unicodedata.normalize("NFC", t) for t in texts]
-    streams = [tag_entities(t, rules).split() for t in texts]
-    models = []
-    for _ in range(args.passes):
-        cm = fit_collocations(
-            streams,
-            discount=args.discount,
-            min_count=args.min_count,
-            threshold=args.colloc_threshold,
-        )
-        models.append(cm)
-        streams = [segment(s, cm) for s in streams]
+    config = PipelineConfig(
+        discount=args.discount,
+        colloc_threshold=args.colloc_threshold,
+        min_count=args.min_count,
+        passes=args.passes,
+        nfc=args.nfc,
+    )
+    streams = [normalize(m.text, config, rules).tokens for m in corpus.messages]
+    models, streams = fit_segmentation(streams, config)
     if args.show_merges:
         for cm in models:
             for (a, b), score in cm.merges_by_score():

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import Corpus, FoldAssignment, Label
-from .pipeline import FittedPipeline, PipelineConfig
+from .pipeline import FittedPipeline, Normalized, PipelineConfig, normalize
 from .preprocess import EntityRuleSet
 
 __all__ = [
@@ -145,12 +145,15 @@ def cross_validate(
     folds: FoldAssignment,
     config: PipelineConfig | None = None,
     rules: EntityRuleSet | None = None,
+    normalized: list[Normalized] | None = None,
 ) -> EvalReport:
     """Fit on k-1 folds and score the held-out fold, for every fold.
 
     All fitted state (collocations, vocabulary, classifier) comes from the
     training folds only. Every held-out fold must contain both classes so its
-    rates are defined.
+    rates are defined. Each message is normalized once for all folds;
+    ``normalized`` may carry that pass, one entry per corpus message in
+    corpus order, when the caller shares it across configurations.
     """
     config = config or PipelineConfig()
     config.validate()
@@ -159,19 +162,43 @@ def cross_validate(
         raise ValueError("fold assignment does not cover exactly this corpus")
     if folds.k < 2:
         raise ValueError("need at least two folds")
+    rules = rules or EntityRuleSet.default()
+    if normalized is None:
+        normalized = _normalize_corpus(corpus, config, rules)
+    elif len(normalized) != len(corpus.messages):
+        raise ValueError(f"{len(normalized)} normalized messages for a corpus of {len(corpus)}")
 
     outcomes = []
     for f in range(folds.k):
-        test = [m for m in corpus.messages if folds.fold_of[m.id] == f]
-        training = [m for m in corpus.messages if folds.fold_of[m.id] != f]
-        gold = [m.label for m in test]
+        test, training = [], []
+        for i, m in enumerate(corpus.messages):
+            (test if folds.fold_of[m.id] == f else training).append(i)
+        gold = [corpus.messages[i].label for i in test]
         if Label.SPAM not in gold or Label.LEGITIMATE not in gold:
             raise ValueError(f"fold {f} does not contain both classes")
-        fitted = FittedPipeline.fit(training, config, rules)
-        predicted = [fitted.predict_text(m.text).label for m in test]
+        fitted = FittedPipeline.fit(
+            [corpus.messages[i] for i in training],
+            config,
+            rules,
+            normalized=[normalized[i] for i in training],
+        )
+        predicted = [
+            fitted.predict_text(corpus.messages[i].text, normalized[i]).label for i in test
+        ]
         counts = confusion(gold, predicted)
         outcomes.append(FoldOutcome(fold=str(f), counts=counts, rates=rates(counts)))
     return _report(config.name, outcomes)
+
+
+def _normalize_corpus(corpus: Corpus, config: PipelineConfig, rules) -> list[Normalized]:
+    # The streams live for the whole run; one str per distinct token keeps
+    # them about as small as the corpus text.
+    shared: dict[str, str] = {}
+    out = []
+    for m in corpus.messages:
+        text, tokens = normalize(m.text, config, rules)
+        out.append(Normalized(text, [shared.setdefault(t, t) for t in tokens]))
+    return out
 
 
 def evaluate_baseline(corpus: Corpus, config: PipelineConfig | None = None) -> EvalReport:
@@ -190,10 +217,10 @@ def evaluate_baseline(corpus: Corpus, config: PipelineConfig | None = None) -> E
 
 
 def _evaluate_one(args) -> EvalReport:
-    corpus, folds, config, rules = args
+    corpus, folds, config, rules, normalized = args
     if config.classifier == "baseline":
         return evaluate_baseline(corpus, config)
-    return cross_validate(corpus, folds, config, rules)
+    return cross_validate(corpus, folds, config, rules, normalized)
 
 
 def run_grid(
@@ -205,13 +232,26 @@ def run_grid(
 ) -> list[EvalReport]:
     """Evaluate each configuration; baseline entries run whole-corpus.
 
-    With jobs > 1 the configurations run in a process pool; results keep the
-    grid order either way.
+    The corpus is normalized (NFC, entity tagging) once for each distinct
+    ``(preprocess, nfc)`` pair among the configurations, before any fit, and
+    that one pass serves every configuration and fold that shares it. With
+    jobs > 1 the configurations run in a process pool; results keep the grid
+    order either way.
     """
     configs = list(configs)
-    tasks = [(corpus, folds, cfg, rules) for cfg in configs]
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    rules = rules or EntityRuleSet.default()
+    shared: dict[tuple[bool, bool], list[Normalized]] = {}
+    tasks = []
+    for cfg in configs:
+        normalized = None
+        if cfg.classifier != "baseline":
+            key = (cfg.preprocess, cfg.nfc)
+            if key not in shared:
+                shared[key] = _normalize_corpus(corpus, cfg, rules)
+            normalized = shared[key]
+        tasks.append((corpus, folds, cfg, rules, normalized))
     if jobs == 1 or len(tasks) <= 1:
         return [_evaluate_one(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

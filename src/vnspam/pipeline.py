@@ -16,6 +16,7 @@ import tempfile
 import unicodedata
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .classifiers import (
     KINDS,
@@ -50,6 +51,9 @@ __all__ = [
     "PipelineConfig",
     "FitStats",
     "FittedPipeline",
+    "Normalized",
+    "normalize",
+    "fit_segmentation",
 ]
 
 MODEL_FORMAT_VERSION = 1
@@ -142,6 +146,54 @@ class FitStats:
     selected_terms: int
 
 
+# -- stages ---------------------------------------------------------------------
+
+
+class Normalized(NamedTuple):
+    """One message after the normalize stage."""
+
+    text: str  # after NFC when the config asks for it; the length feature reads it
+    tokens: list[str]  # entity-tagged tokens, or the whitespace split without preprocessing
+
+
+def _nfc(text: str, config: PipelineConfig) -> str:
+    return unicodedata.normalize("NFC", text) if config.nfc else text
+
+
+def normalize(
+    text: str, config: PipelineConfig, rules: EntityRuleSet | None = None
+) -> Normalized:
+    """The normalize stage: NFC if ``config.nfc``, then entity tagging if
+    ``config.preprocess``, split into tokens.
+
+    It depends only on those two fields and the rules, never on training
+    data, so one pass over a corpus serves every fit and fold that shares them.
+    """
+    text = _nfc(text, config)
+    if config.preprocess:
+        return Normalized(text, tag_entities(text, rules).split())
+    return Normalized(text, text.split())
+
+
+def fit_segmentation(
+    streams, config: PipelineConfig
+) -> tuple[list[CollocationModel], list[list[str]]]:
+    """The segment stage's fit: ``config.passes`` collocation models, each
+    fitted on the streams the previous passes segmented. Returns the models
+    and the segmented streams."""
+    models = []
+    for _ in range(config.passes):
+        cm = fit_collocations(
+            streams,
+            discount=config.discount,
+            min_count=config.min_count,
+            threshold=config.colloc_threshold,
+        )
+        models.append(cm)
+        streams = [segment(s, cm) for s in streams]
+    return models, streams
+
+
 class FittedPipeline:
     """A trained spam filter ready to score raw message text."""
 
@@ -169,41 +221,42 @@ class FittedPipeline:
         messages,
         config: PipelineConfig | None = None,
         rules: EntityRuleSet | None = None,
+        normalized: list[Normalized] | None = None,
     ) -> "FittedPipeline":
+        """Fit every stage on labeled messages.
+
+        ``normalized`` may hold ``normalize(m.text, config, rules)`` for each
+        message, computed once by a caller that fits many pipelines on the
+        same messages; it is then used instead of normalizing again.
+        """
         config = config or PipelineConfig()
         config.validate()
         rules = rules or EntityRuleSet.default()
         messages = list(messages)
         if not messages:
             raise ValueError("cannot fit a pipeline on an empty corpus")
-        texts = [m.text for m in messages]
-        if config.nfc:
-            texts = [unicodedata.normalize("NFC", t) for t in texts]
 
         if config.classifier == "baseline":
             model = train("baseline", [], [], config.hyperparams())
-            stats = FitStats(len(texts), 0, 0, 0)
+            stats = FitStats(len(messages), 0, 0, 0)
             return cls(config, rules, [], None, model, stats)
 
         labels = [m.label for m in messages]
         if any(lab is None for lab in labels):
             raise ValueError("cannot train on unlabeled messages")
+        if normalized is None:
+            normalized = [normalize(m.text, config, rules) for m in messages]
+        elif len(normalized) != len(messages):
+            raise ValueError(
+                f"{len(normalized)} normalized messages for {len(messages)} messages"
+            )
+        texts = [n.text for n in normalized]
+        streams = [n.tokens for n in normalized]
 
         raw_terms = len({tok for t in texts for tok in t.split()})
         collocations: list[CollocationModel] = []
         if config.preprocess:
-            streams = [tag_entities(t, rules).split() for t in texts]
-            for _ in range(config.passes):
-                cm = fit_collocations(
-                    streams,
-                    discount=config.discount,
-                    min_count=config.min_count,
-                    threshold=config.colloc_threshold,
-                )
-                collocations.append(cm)
-                streams = [segment(s, cm) for s in streams]
-        else:
-            streams = [t.split() for t in texts]
+            collocations, streams = fit_segmentation(streams, config)
         preprocessed_terms = len({tok for s in streams for tok in s})
 
         vocab = build_vocabulary(streams, min_df=config.min_df)
@@ -219,33 +272,36 @@ class FittedPipeline:
 
     def tokens(self, text: str) -> list[str]:
         """Token stream for one message under this pipeline's settings."""
-        if self.config.nfc:
-            text = unicodedata.normalize("NFC", text)
-        if not self.config.preprocess:
-            return text.split()
-        stream = tag_entities(text, self.rules).split()
+        return self._segment(normalize(text, self.config, self.rules).tokens)
+
+    def _segment(self, stream: list[str]) -> list[str]:
         for cm in self.collocations:
             stream = segment(stream, cm)
         return stream
 
     def vector(self, text: str) -> FeatureVector:
+        return self._vector(normalize(text, self.config, self.rules))
+
+    def _vector(self, norm: Normalized) -> FeatureVector:
         if self.vocab is None:
             raise ValueError("the rule baseline has no feature space")
-        if self.config.nfc:
-            text = unicodedata.normalize("NFC", text)
-        stream = self.tokens(text)
         vectorize = vectorize_bow if self.config.representation == "bow" else vectorize_tfidf
-        vec = vectorize(stream, self.vocab)
+        vec = vectorize(self._segment(norm.tokens), self.vocab)
         if self.config.length_feature:
-            vec = append_length(vec, text)
+            vec = append_length(vec, norm.text)
         return vec
 
-    def predict_text(self, text: str) -> Prediction:
-        if self.config.nfc:
-            text = unicodedata.normalize("NFC", text)
+    def predict_text(self, text: str, normalized: Normalized | None = None) -> Prediction:
+        """Label one raw message.
+
+        ``normalized`` may hold ``normalize(text, self.config, self.rules)``,
+        computed once by the caller; the rule baseline reads only the text.
+        """
         if self.config.classifier == "baseline":
-            return rule_baseline(text)
-        return predict(self.model, self.vector(text))
+            return rule_baseline(_nfc(text, self.config))
+        if normalized is None:
+            normalized = normalize(text, self.config, self.rules)
+        return predict(self.model, self._vector(normalized))
 
     # -- persistence -----------------------------------------------------
 
@@ -274,8 +330,8 @@ class FittedPipeline:
         except UnicodeDecodeError as exc:
             raise ModelFileError(f"model file {p} is not valid UTF-8: {exc}") from exc
         try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(raw, parse_float=_finite_float, parse_constant=_finite_float)
+        except (ValueError, RecursionError) as exc:
             raise ModelFileError(f"model file {p} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ModelFileError(f"model file {p} must hold a JSON object")
@@ -368,11 +424,19 @@ class FittedPipeline:
         stats = FitStats(
             sd["messages"], sd["raw_terms"], sd["preprocessed_terms"], sd["selected_terms"]
         )
+        if collocations and not config.preprocess:
+            raise ValueError("collocation models stored without preprocessing")
+        if model.kind != config.classifier:
+            raise ValueError(f"model kind {model.kind!r} does not match the config")
         if model.kind != "baseline":
             if vocab is None:
                 raise ValueError("trained model without a vocabulary")
             if model.vocab_fingerprint != vocab.fingerprint:
                 raise ValueError("vocabulary does not match the model fingerprint")
+            slots = len(vocab) + (1 if config.length_feature else 0)
+            if model.has_length is not config.length_feature or model.n_slots != slots:
+                raise ValueError("model slots do not match the vocabulary and length feature")
+        model.validate()
         return cls(config, rules, collocations, vocab, model, stats)
 
 
@@ -429,6 +493,13 @@ def _emit(value, out: list[str], depth: int) -> None:
         out.append(pad + "]")
     else:
         raise ModelFileError(f"cannot serialize {type(value).__name__} in model document")
+
+
+def _finite_float(literal: str) -> float:
+    f = float(literal)
+    if not math.isfinite(f):
+        raise ValueError(f"non-finite number {literal}")
+    return f
 
 
 def _format_float(f: float) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import nsmallest
 
 
 def rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -111,6 +112,24 @@ def knn_exhaustive(rows, query, k) -> list[int]:
         scored.append((1.0 - sim, idx))
     scored.sort()
     return [idx for _, idx in scored[: min(k, len(rows))]]
+
+
+def knn_full_scan(params, vector) -> list[int]:
+    """The knn neighbour search the inverted index replaced: every stored
+    entry of every training row is multiplied by the query's value for its
+    slot (0.0 when the query lacks it), with the same float operations in the
+    same order as the package's original code."""
+    q = dict(vector.slot_items())
+    qn = math.sqrt(sum(v * v for v in q.values()))
+    k = min(params["k"], len(params["rows"]))
+    scored = []
+    for idx, (row, rn) in enumerate(zip(params["rows"], params["norms"])):
+        if qn == 0.0 or rn == 0.0:
+            sim = 0.0
+        else:
+            sim = sum(v * q.get(i, 0.0) for i, v in row) / (qn * rn)
+        scored.append((1.0 - sim, idx))
+    return [idx for _, idx in nsmallest(k, scored)]
 
 
 # -- decision tree root split ----------------------------------------------

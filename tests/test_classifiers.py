@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnspam import Label
 from vnspam.classifiers import (
@@ -508,3 +510,45 @@ def test_baseline_model_cannot_score_vectors():
     model = train("baseline", [], [])
     with pytest.raises(ValueError, match="raw text"):
         decision_score(model, fv({0: 1}, 1))
+
+
+# -- knn inverted index against the full scan ---------------------------------------
+
+# Tiny values make near-orthogonal pairs, where 1.0 - sim rounds to 1.0.
+_TFIDF_VALUES = st.one_of(
+    st.floats(min_value=0.05, max_value=20.0),
+    st.floats(min_value=-3.0, max_value=-0.05),
+    st.sampled_from([1e-30, 1e-17, 3e-9, 0.6931471805599453]),
+)
+
+
+@st.composite
+def knn_instances(draw):
+    dim = draw(st.integers(1, 6))
+    rep = draw(st.sampled_from(["bow", "tfidf"]))
+    with_length = draw(st.booleans())
+    values = st.integers(1, 4) if rep == "bow" else _TFIDF_VALUES
+    lengths = st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.35, 1e-20])
+
+    def vector():
+        weights = draw(st.dictionaries(st.integers(0, dim - 1), values, max_size=dim))
+        length = draw(lengths) if with_length else None
+        return fv(weights, dim, length=length)
+
+    rows = [vector() for _ in range(draw(st.integers(2, 10)))]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))  # duplicates
+    query = fv({}, dim, length=0.0 if with_length else None) if draw(st.booleans()) else vector()
+    k = draw(st.integers(1, len(rows) + 3))
+    return rows, query, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(knn_instances())
+def test_knn_index_matches_full_scan(instance):
+    from vnspam.classifiers import _knn_neighbors
+
+    rows, query, k = instance
+    model = train("knn", rows, labels([i % 2 for i in range(len(rows))]), Hyperparams(k=k))
+    want = oracles.knn_full_scan(model.params, query)
+    assert _knn_neighbors(model.params, query) == want
+    assert _knn_neighbors(model.params, query, model.knn_postings) == want

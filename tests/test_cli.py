@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in-process via main()."""
 
 import io
+import json
 import subprocess
 import sys
 
@@ -143,6 +144,83 @@ def test_predict_corrupt_model(tmp_path, capsys):
     path.write_text("{broken", encoding="utf-8")
     rc = main(["predict", str(path)], stdin=io.BytesIO(b""))
     assert rc == 2
+
+
+def _cut(key, n):
+    def mutate(params):
+        params[key] = params[key][:n]
+
+    return mutate
+
+
+def _set(key, value):
+    def mutate(params):
+        params[key] = value
+
+    return mutate
+
+
+def _dt_root_loops(params):
+    # predict used to follow this edge forever
+    params["nodes"][params["root"]]["left"] = params["root"]
+
+
+def _dt_split_at_first_node(params):
+    # node 0 is the first leaf train() wrote; as a split its children come after it
+    params["nodes"][0] = {"feature": 0, "threshold": 0.5, "left": 1, "right": 1}
+
+
+def _knn_row_index(value):
+    def mutate(params):
+        params["rows"][0][0][0] = value
+
+    return mutate
+
+
+# (kind, edit of the saved params); each breaks one rule the loader checks
+BAD_PARAMS = {
+    "nb-likelihood-cut": ("nb", lambda p: p["log_likelihood"]["spam"].pop()),
+    "svm-weights-cut": ("svm", _cut("weights", 3)),
+    "lr-weights-long": ("lr", lambda p: p["weights"].append(0.5)),
+    "knn-labels-cut": ("knn", _cut("labels", 3)),
+    "knn-norms-cut": ("knn", _cut("norms", -1)),
+    "knn-row-index-high": ("knn", _knn_row_index(10**6)),
+    "knn-row-index-negative": ("knn", _knn_row_index(-1)),
+    "knn-bad-label": ("knn", lambda p: p["labels"].__setitem__(0, "maybe")),
+    "knn-k-zero": ("knn", _set("k", 0)),
+    "dt-root-out-of-range": ("dt", lambda p: p.update(root=len(p["nodes"]))),
+    "dt-root-loops-to-itself": ("dt", _dt_root_loops),
+    "dt-child-above-parent": ("dt", _dt_split_at_first_node),
+    "svm-nan-weight": ("svm", lambda p: p["weights"].__setitem__(0, float("nan"))),
+    "nb-infinite-prior": ("nb", lambda p: p["log_prior"].update(ham=float("-inf"))),
+    "lr-overflowing-bias": ("lr", _set("bias", "1e999")),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    base = tmp_path_factory.mktemp("models")
+    corpus = base / "corpus.tsv"
+    save_corpus(synth_corpus(60, seed=3), corpus)
+    paths = {}
+    for kind in ("nb", "svm", "lr", "dt", "knn"):
+        paths[kind] = base / f"{kind}.json"
+        assert main(["train", str(corpus), "-o", str(paths[kind]), "--clf", kind, *FAST_FLAGS]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_predict_rejects_bad_model_params(case, saved_models, tmp_path, capsys):
+    kind, mutate = BAD_PARAMS[case]
+    doc = json.loads(saved_models[kind].read_text(encoding="utf-8"))
+    mutate(doc["model"]["params"])
+    path = tmp_path / "bad.json"
+    # "1e999" stands for a number literal too large for a float
+    path.write_text(json.dumps(doc).replace('"1e999"', "1e999"), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai goi ngay\n"))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- evaluate ------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from vnspam import (
     ConfusionCounts,
     Corpus,
+    FittedPipeline,
     FoldAssignment,
     Label,
     Message,
@@ -22,7 +23,8 @@ from vnspam import (
     stratified_kfold,
     write_csv,
 )
-from vnspam.evaluation import EvalReport, FoldOutcome
+from vnspam.evaluation import EvalReport, FoldOutcome, _report
+from vnspam.preprocess import EntityRuleSet
 
 import oracles
 from conftest import synth_corpus
@@ -295,3 +297,82 @@ def test_write_csv_one_row_per_fold_plus_average(tmp_path):
     assert first[:2] == ["nb-bow", "0"]
     assert float(first[2]) == report.per_fold[0].rates.tpr
     assert lines[3].split(",")[1] == "avg"
+
+
+# -- one normalize pass per run, against fitting every fold from raw text -----------
+
+
+def _unshared_grid(corpus, folds, configs, rules=None):
+    """The evaluation loop with no shared work: FittedPipeline.fit on the raw
+    training messages of every config and fold, then predict_text on each
+    held-out message."""
+    reports = []
+    for cfg in configs:
+        if cfg.classifier == "baseline":
+            reports.append(evaluate_baseline(corpus, cfg))
+            continue
+        outcomes = []
+        for f in range(folds.k):
+            test = [m for m in corpus.messages if folds.fold_of[m.id] == f]
+            training = [m for m in corpus.messages if folds.fold_of[m.id] != f]
+            fitted = FittedPipeline.fit(training, cfg, rules)
+            predicted = [fitted.predict_text(m.text).label for m in test]
+            counts = confusion([m.label for m in test], predicted)
+            outcomes.append(FoldOutcome(fold=str(f), counts=counts, rates=rates(counts)))
+        reports.append(_report(cfg.name, outcomes))
+    return reports
+
+
+def _decomposed(corpus):
+    """Every third message spells "a" as "a" plus a combining grave accent,
+    which splits words unless NFC composes it first."""
+    return Corpus(
+        [
+            Message(m.id, m.text.replace("a", "a\u0300") if m.id % 3 == 0 else m.text, m.label)
+            for m in corpus.messages
+        ]
+    )
+
+
+@pytest.mark.parametrize("case", ["jobs1", "jobs2", "nfc", "rules"])
+def test_run_grid_matches_unshared_loop(case, tmp_path):
+    from dataclasses import replace
+
+    corpus = synth_corpus(150, seed=5)
+    base = PipelineConfig(epochs=3)
+    rules = None
+    if case == "nfc":
+        corpus = _decomposed(corpus)
+        base = replace(base, nfc=True)
+    if case == "rules":
+        path = tmp_path / "rules.tsv"
+        # folds every word starting a-m into one token, which changes the rates
+        path.write_text("link\twww\\.\\S+\nnumber\t\\b[a-m]\\w*\n", encoding="utf-8")
+        rules = EntityRuleSet.from_file(path)
+    folds = stratified_kfold(corpus, k=5)
+    configs = reference_grid(base)
+    jobs = 2 if case == "jobs2" else 1
+    write_csv(run_grid(corpus, folds, configs, rules, jobs=jobs), tmp_path / "shared.csv")
+    write_csv(_unshared_grid(corpus, folds, configs, rules), tmp_path / "unshared.csv")
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "unshared.csv").read_bytes()
+
+
+def test_evaluation_tags_each_message_once_per_run(small_corpus, monkeypatch):
+    from dataclasses import replace
+
+    import vnspam.pipeline
+
+    calls = []
+    real = vnspam.pipeline.tag_entities
+
+    def counting(text, rules=None):
+        calls.append(text)
+        return real(text, rules)
+
+    monkeypatch.setattr(vnspam.pipeline, "tag_entities", counting)
+    folds = stratified_kfold(small_corpus, k=5)
+    run_grid(small_corpus, folds, reference_grid(replace(PipelineConfig(), epochs=2)))
+    assert len(calls) == len(small_corpus)
+    calls.clear()
+    cross_validate(small_corpus, folds, FAST)
+    assert len(calls) == len(small_corpus)
