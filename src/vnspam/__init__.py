@@ -22,7 +22,6 @@ from .corpus import (
     FoldAssignment,
     Label,
     Message,
-    class_counts,
     load_corpus,
     save_corpus,
     stratified_kfold,

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import random
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import nsmallest
-from itertools import islice
+from itertools import chain, islice
+from operator import mul
 
 from .corpus import Label
 from .features import FeatureVector
@@ -337,37 +338,59 @@ def _train_linear(vectors, spam_flags, n_slots: int, hp: Hyperparams, loss: str)
     schedule are enormous and the unregularized bias never recovers from
     them. The weight vector is kept as scale * v so the per-step L2 shrink
     touches one float instead of every slot.
+
+    The weights are bit-identical to a plain loop that sums
+    ``v[i] * x for i, x in row``: the margin feeds the same products in the
+    same order into one sum(), which keeps them equal on Python 3.12+ too,
+    where sum() is compensated, and the logistic gradient is _sigmoid(-z)
+    inlined with its two branches unchanged.
     """
     lam = hp.reg_lambda
-    rows = [vec.slot_items() for vec in vectors]
+    idxs = []
+    vals = []
+    for vec in vectors:
+        items = vec.slot_items()
+        idxs.append(tuple(i for i, _ in items))
+        vals.append(tuple(x for _, x in items))
     ys = [1.0 if f else -1.0 for f in spam_flags]
+    hinge = loss == "hinge"
     typical_w = math.sqrt(1.0 / math.sqrt(lam))
-    dloss0 = 1.0 if loss == "hinge" else _sigmoid(typical_w)
+    dloss0 = 1.0 if hinge else _sigmoid(typical_w)
     t0 = 1.0 / (lam * (typical_w / max(1.0, dloss0)))
     v = [0.0] * n_slots
+    weight = v.__getitem__
+    exp = math.exp
     scale = 1.0
     bias = 0.0
     t = 0
     rng = random.Random(hp.seed)
-    order = list(range(len(rows)))
+    order = list(range(len(idxs)))
     for _ in range(hp.epochs):
         rng.shuffle(order)
         for r in order:
             t += 1
             eta = 1.0 / (lam * (t0 + t))
-            items = rows[r]
+            idx = idxs[r]
+            xs = vals[r]
             y = ys[r]
-            z = y * (scale * sum(v[i] * x for i, x in items) + bias)
+            z = y * (scale * sum(map(mul, map(weight, idx), xs)) + bias)
             scale *= 1.0 - eta * lam
-            if loss == "hinge":
-                g = 1.0 if z < 1.0 else 0.0
+            if hinge:
+                if not z < 1.0:
+                    continue
+                g = 1.0
             else:
-                g = _sigmoid(-z)
-            if g != 0.0:
-                coef = eta * y * g / scale
-                for i, x in items:
-                    v[i] += coef * x
-                bias += eta * y * g
+                if z <= 0.0:  # _sigmoid(-z) for -z >= 0
+                    g = 1.0 / (1.0 + exp(z))
+                else:
+                    ez = exp(-z)
+                    g = ez / (1.0 + ez)
+                if g == 0.0:
+                    continue
+            coef = eta * y * g / scale
+            for i, x in zip(idx, xs):
+                v[i] += coef * x
+            bias += eta * y * g
     return {"weights": [scale * w for w in v], "bias": bias}
 
 
@@ -389,40 +412,67 @@ def _train_dt(vectors, spam_flags, max_depth: int) -> dict:
     arithmetic (maximizing the gain is maximizing ((sl^2+hl^2)*nr +
     (sr^2+hr^2)*nl) / (nl*nr), with (s^2+h^2)/n as the no-split baseline),
     so the strict-improvement rule never hinges on float rounding.
+
+    Each node counts its entries with Counter, not one by one: entries equal
+    to 1, the bulk of bag-of-words rows, by feature, and the others by
+    (feature, value). A feature seen only with value 1 has the one candidate
+    threshold (0.0 + 1) / 2.0 = 0.5. The gain comparisons use the same
+    integer counts and every threshold is the same (a + b) / 2.0 of the same
+    sorted values, so the tree equals that of bucketing every entry in turn.
+    The one exception would be a float 1.0 and an int beyond 2**53 in one
+    feature, where the value-1 bucket's int key rounds differently.
     """
     rows = [dict(vec.slot_items()) for vec in vectors]
+    ones = [tuple(f for f, val in row.items() if val == 1) for row in rows]
+    others = [tuple((f, val) for f, val in row.items() if val != 1) for row in rows]
     nodes: list[dict] = []
 
-    def leaf(idxs) -> int:
-        n = len(idxs)
-        s = sum(spam_flags[i] for i in idxs)
+    def leaf(n: int, s: int) -> int:
         nodes.append({"spam_fraction": s / n, "samples": n})
         return len(nodes) - 1
 
     def build(idxs, depth: int) -> int:
+        spam_idxs = [i for i in idxs if spam_flags[i]]
         n = len(idxs)
-        s = sum(spam_flags[i] for i in idxs)
+        s = len(spam_idxs)
         if s == 0 or s == n or depth >= max_depth or n < 2:
-            return leaf(idxs)
+            return leaf(n, s)
 
-        by_feature: dict[int, list[tuple[float, int]]] = {}
-        for i in idxs:
-            for f, val in rows[i].items():
-                by_feature.setdefault(f, []).append((val, spam_flags[i]))
+        ones_n = Counter(chain.from_iterable(ones[i] for i in idxs))
+        ones_s = Counter(chain.from_iterable(ones[i] for i in spam_idxs))
+        pairs_n = Counter(chain.from_iterable(others[i] for i in idxs))
+        pairs_s = Counter(chain.from_iterable(others[i] for i in spam_idxs))
+        by_feature: dict[int, list[float]] = {}
+        for f, val in pairs_n:
+            by_feature.setdefault(f, []).append(val)
         best_num = s * s + (n - s) * (n - s)
         best_den = n
         best: tuple[int, float] | None = None
-        for f in sorted(by_feature):
-            entries = by_feature[f]
-            zero_n = n - len(entries)
-            zero_s = s - sum(sp for _, sp in entries)
-            buckets: dict[float, list[int]] = {}
-            for val, sp in entries:
-                agg = buckets.setdefault(val, [0, 0])
-                agg[0] += 1
-                agg[1] += sp
+        for f in sorted(ones_n.keys() | by_feature.keys()):
+            one_n = ones_n[f]
+            one_s = ones_s[f]
+            vals = by_feature.get(f)
+            if vals is None:
+                # Values 0 and 1 only: the single split puts the zeros left.
+                zero_n = n - one_n
+                if not zero_n:
+                    continue
+                zero_s = s - one_s
+                zh = zero_n - zero_s
+                oh = one_n - one_s
+                num = (zero_s * zero_s + zh * zh) * one_n + (one_s * one_s + oh * oh) * zero_n
+                den = zero_n * one_n
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
+                    best = (f, 0.5)
+                continue
+            buckets = {val: (pairs_n[f, val], pairs_s[f, val]) for val in vals}
+            zero_n = n - one_n - sum(cnt for cnt, _ in buckets.values())
+            zero_s = s - one_s - sum(sp for _, sp in buckets.values())
+            if one_n:
+                buckets[1] = (one_n, one_s)
             if zero_n:
-                buckets[0.0] = [zero_n, zero_s]
+                buckets[0.0] = (zero_n, zero_s)
             if len(buckets) < 2:
                 continue
             values = sorted(buckets)
@@ -444,7 +494,7 @@ def _train_dt(vectors, spam_flags, max_depth: int) -> dict:
                     best_num, best_den = num, den
                     best = (f, (values[j] + values[j + 1]) / 2.0)
         if best is None:
-            return leaf(idxs)
+            return leaf(n, s)
         f, thr = best
         left_idx = [i for i in idxs if rows[i].get(f, 0.0) <= thr]
         right_idx = [i for i in idxs if rows[i].get(f, 0.0) > thr]

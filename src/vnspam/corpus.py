@@ -15,7 +15,6 @@ __all__ = [
     "FoldAssignment",
     "load_corpus",
     "save_corpus",
-    "class_counts",
     "stratified_kfold",
 ]
 
@@ -74,6 +73,7 @@ class Corpus:
 
     @property
     def counts(self) -> dict[Label, int]:
+        """Labeled messages per class; unlabeled messages are left out."""
         return dict(self._counts)
 
     def __len__(self) -> int:
@@ -137,15 +137,6 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             raise CorpusError(f"message {m.id} has no label, cannot serialize")
         lines.append(f"{m.label.token}\t{m.text}\n")
     Path(path).write_text("".join(lines), encoding="utf-8")
-
-
-def class_counts(corpus: Corpus) -> dict[Label, int]:
-    """Tally labeled messages per class. Unlabeled messages are excluded."""
-    counts = {Label.SPAM: 0, Label.LEGITIMATE: 0}
-    for m in corpus.messages:
-        if m.label is not None:
-            counts[m.label] += 1
-    return counts
 
 
 @dataclass(frozen=True)

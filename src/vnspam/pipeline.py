@@ -485,6 +485,12 @@ def _emit(value, out: list[str], depth: int) -> None:
         if not value:
             out.append("[]")
             return
+        if all(type(x) is int or type(x) is float for x in value):
+            # Weight vectors, likelihoods and knn entries: one string, not three per item.
+            sep = ",\n" + pad + " "
+            body = sep.join(str(x) if type(x) is int else _format_float(x) for x in value)
+            out.append("[\n" + pad + " " + body + "\n" + pad + "]")
+            return
         out.append("[\n")
         for i, item in enumerate(value):
             out.append(pad + " ")

@@ -40,7 +40,13 @@ _MARK_RE = re.compile("\x00(%s)\x00" % "|".join(ENTITY_GROUPS))
 # makes tagging idempotent; any other angle bracket is plain punctuation.
 _RESERVED_RE = re.compile("<(%s)>" % "|".join(ENTITY_GROUPS), re.IGNORECASE)
 
-_APOSTROPHES = "'’"
+# Characters that become spaces: everything but NUL (placeholder marks),
+# word characters other than "_", whitespace and apostrophes. A run of them
+# becomes one space, which the final whitespace split cannot tell apart.
+_PUNCT_RE = re.compile(r"(?:[^\w\s\x00'’]|_)+")
+# An apostrophe survives only between two alphanumeric characters; [^\W_]
+# is exactly str.isalnum().
+_LOOSE_APOSTROPHE_RE = re.compile(r"(?<![^\W_])['’]|['’](?![^\W_])")
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,12 @@ def tag_entities(text: str, rules: EntityRuleSet | None = None) -> str:
     lowercased, punctuation (except apostrophes inside a word) becomes a
     space, and whitespace runs collapse. Applying the function to its own
     output is a no-op.
+
+    The two punctuation regexes give the same tokens as testing each
+    character with str.isalnum() and str.isspace(): on str patterns re's
+    word class is isalnum() plus "_", so [^\\W_] is exactly isalnum(), its
+    whitespace class is isspace(), which str.split() also uses, and the
+    first pass never rewrites an alphanumeric neighbour of an apostrophe.
     """
     if rules is None:
         rules = EntityRuleSet.default()
@@ -133,23 +145,10 @@ def tag_entities(text: str, rules: EntityRuleSet | None = None) -> str:
     s = _RESERVED_RE.sub(lambda m: f"{_MARK}{m.group(1).lower()}{_MARK}", s)
     for rule in rules:
         s = rule.regex.sub(f"{_MARK}{rule.group}{_MARK}", s)
-    s = s.lower()
-
-    out = []
-    n = len(s)
-    for i, ch in enumerate(s):
-        if ch == _MARK or ch.isalnum() or ch.isspace():
-            out.append(ch)
-        elif (
-            ch in _APOSTROPHES
-            and 0 < i < n - 1
-            and s[i - 1].isalnum()
-            and s[i + 1].isalnum()
-        ):
-            out.append(ch)
-        else:
-            out.append(" ")
-    s = _MARK_RE.sub(r" <\1> ", "".join(out))
+    s = _PUNCT_RE.sub(" ", s.lower())
+    if "'" in s or "’" in s:
+        s = _LOOSE_APOSTROPHE_RE.sub(" ", s)
+    s = _MARK_RE.sub(r" <\1> ", s)
     return " ".join(s.split())
 
 

@@ -8,7 +8,10 @@ from the package, so an agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import json
 import math
+import random
+import re
 from fractions import Fraction
 from heapq import nsmallest
 
@@ -172,3 +175,212 @@ def best_root_split(rows, flags):
             elif gain == best and best > 0:
                 arg.append((f, thr))
     return best, arg
+
+
+# -- loops the fast fit path replaced ----------------------------------------------
+# Verbatim copies of the package's plain loops, kept as differential oracles.
+# Only names changed, and the rules and entity groups come in as arguments.
+
+
+def _sigmoid(a: float) -> float:
+    if a >= 0:
+        return 1.0 / (1.0 + math.exp(-a))
+    ea = math.exp(a)
+    return ea / (1.0 + ea)
+
+
+def train_linear_plain(vectors, spam_flags, n_slots: int, hp, loss: str) -> dict:
+    """svm/lr subgradient descent with a generator sum per margin."""
+    lam = hp.reg_lambda
+    rows = [vec.slot_items() for vec in vectors]
+    ys = [1.0 if f else -1.0 for f in spam_flags]
+    typical_w = math.sqrt(1.0 / math.sqrt(lam))
+    dloss0 = 1.0 if loss == "hinge" else _sigmoid(typical_w)
+    t0 = 1.0 / (lam * (typical_w / max(1.0, dloss0)))
+    v = [0.0] * n_slots
+    scale = 1.0
+    bias = 0.0
+    t = 0
+    rng = random.Random(hp.seed)
+    order = list(range(len(rows)))
+    for _ in range(hp.epochs):
+        rng.shuffle(order)
+        for r in order:
+            t += 1
+            eta = 1.0 / (lam * (t0 + t))
+            items = rows[r]
+            y = ys[r]
+            z = y * (scale * sum(v[i] * x for i, x in items) + bias)
+            scale *= 1.0 - eta * lam
+            if loss == "hinge":
+                g = 1.0 if z < 1.0 else 0.0
+            else:
+                g = _sigmoid(-z)
+            if g != 0.0:
+                coef = eta * y * g / scale
+                for i, x in items:
+                    v[i] += coef * x
+                bias += eta * y * g
+    return {"weights": [scale * w for w in v], "bias": bias}
+
+
+def train_dt_plain(vectors, spam_flags, max_depth: int) -> dict:
+    """CART that buckets every stored entry of every row at each node."""
+    rows = [dict(vec.slot_items()) for vec in vectors]
+    nodes: list[dict] = []
+
+    def leaf(idxs) -> int:
+        n = len(idxs)
+        s = sum(spam_flags[i] for i in idxs)
+        nodes.append({"spam_fraction": s / n, "samples": n})
+        return len(nodes) - 1
+
+    def build(idxs, depth: int) -> int:
+        n = len(idxs)
+        s = sum(spam_flags[i] for i in idxs)
+        if s == 0 or s == n or depth >= max_depth or n < 2:
+            return leaf(idxs)
+
+        by_feature: dict[int, list[tuple[float, int]]] = {}
+        for i in idxs:
+            for f, val in rows[i].items():
+                by_feature.setdefault(f, []).append((val, spam_flags[i]))
+        best_num = s * s + (n - s) * (n - s)
+        best_den = n
+        best: tuple[int, float] | None = None
+        for f in sorted(by_feature):
+            entries = by_feature[f]
+            zero_n = n - len(entries)
+            zero_s = s - sum(sp for _, sp in entries)
+            buckets: dict[float, list[int]] = {}
+            for val, sp in entries:
+                agg = buckets.setdefault(val, [0, 0])
+                agg[0] += 1
+                agg[1] += sp
+            if zero_n:
+                buckets[0.0] = [zero_n, zero_s]
+            if len(buckets) < 2:
+                continue
+            values = sorted(buckets)
+            left_n = 0
+            left_s = 0
+            for j in range(len(values) - 1):
+                cnt, sp = buckets[values[j]]
+                left_n += cnt
+                left_s += sp
+                right_n = n - left_n
+                right_s = s - left_s
+                lh = left_n - left_s
+                rh = right_n - right_s
+                num = (left_s * left_s + lh * lh) * right_n + (
+                    right_s * right_s + rh * rh
+                ) * left_n
+                den = left_n * right_n
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
+                    best = (f, (values[j] + values[j + 1]) / 2.0)
+        if best is None:
+            return leaf(idxs)
+        f, thr = best
+        left_idx = [i for i in idxs if rows[i].get(f, 0.0) <= thr]
+        right_idx = [i for i in idxs if rows[i].get(f, 0.0) > thr]
+        left = build(left_idx, depth + 1)
+        right = build(right_idx, depth + 1)
+        nodes.append({"feature": f, "threshold": thr, "left": left, "right": right})
+        return len(nodes) - 1
+
+    root = build(list(range(len(rows))), 0)
+    return {"nodes": nodes, "root": root}
+
+
+def tag_entities_per_char(text: str, rules, groups) -> str:
+    """Entity tagging with a per-character punctuation loop.
+
+    ``rules`` is a sequence of (group, compiled regex) in priority order and
+    ``groups`` the tuple of entity group names.
+    """
+    mark = "\x00"
+    mark_re = re.compile("\x00(%s)\x00" % "|".join(groups))
+    reserved_re = re.compile("<(%s)>" % "|".join(groups), re.IGNORECASE)
+    apostrophes = "'’"
+    s = text.replace(mark, " ")
+    s = reserved_re.sub(lambda m: f"{mark}{m.group(1).lower()}{mark}", s)
+    for group, regex in rules:
+        s = regex.sub(f"{mark}{group}{mark}", s)
+    s = s.lower()
+
+    out = []
+    n = len(s)
+    for i, ch in enumerate(s):
+        if ch == mark or ch.isalnum() or ch.isspace():
+            out.append(ch)
+        elif (
+            ch in apostrophes
+            and 0 < i < n - 1
+            and s[i - 1].isalnum()
+            and s[i + 1].isalnum()
+        ):
+            out.append(ch)
+        else:
+            out.append(" ")
+    s = mark_re.sub(r" <\1> ", "".join(out))
+    return " ".join(s.split())
+
+
+# -- model-file JSON emitter ---------------------------------------------------
+
+
+def dumps_per_item(value) -> str:
+    """Sorted-key JSON with 17-significant-digit floats, one piece per token."""
+    out: list[str] = []
+    _emit(value, out, 0)
+    return "".join(out)
+
+
+def _emit(value, out: list[str], depth: int) -> None:
+    pad = " " * depth
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(_format_float(value))
+    elif isinstance(value, str):
+        out.append(json.dumps(value, ensure_ascii=False))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(value)
+        for i, key in enumerate(keys):
+            if not isinstance(key, str):
+                raise ValueError(f"non-string key {key!r} in model document")
+            out.append(pad + " " + json.dumps(key, ensure_ascii=False) + ": ")
+            _emit(value[key], out, depth + 1)
+            out.append(",\n" if i < len(keys) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(value):
+            out.append(pad + " ")
+            _emit(item, out, depth + 1)
+            out.append(",\n" if i < len(value) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        raise ValueError(f"cannot serialize {type(value).__name__} in model document")
+
+
+def _format_float(f: float) -> str:
+    if math.isnan(f) or math.isinf(f):
+        raise ValueError("non-finite float in model document")
+    if f == 0.0:
+        return "0"
+    return format(f, ".17g")

@@ -19,7 +19,6 @@ from vnspam import (
     FittedPipeline,
     PipelineConfig,
     Vocabulary,
-    class_counts,
     collocation_score,
     cross_validate,
     decision_score,
@@ -162,7 +161,7 @@ def test_fold_invariants_hold_on_random_corpora():
         corpus = synth_corpus(
             n, seed=rng.randint(0, 10**6), spam_ratio=rng.uniform(0.1, 0.5)
         )
-        counts = class_counts(corpus)
+        counts = corpus.counts
         if min(counts.values()) < k:
             continue
         seed = rng.randint(0, 10**6)

@@ -552,3 +552,72 @@ def test_knn_index_matches_full_scan(instance):
     want = oracles.knn_full_scan(model.params, query)
     assert _knn_neighbors(model.params, query) == want
     assert _knn_neighbors(model.params, query, model.knn_postings) == want
+
+
+# -- fast fit loops against the plain loops they replaced ---------------------------
+
+
+def _vector_sets(draw, values, dim_max=8, rows_max=12):
+    """Both-class training rows over one vocabulary, with or without a length slot."""
+    dim = draw(st.integers(1, dim_max))
+    lengths = None
+    if draw(st.booleans()):
+        lengths = st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.35, 1e-20])
+    n = draw(st.integers(2, rows_max))
+    rows = [
+        fv(
+            draw(st.dictionaries(st.integers(0, dim - 1), values, max_size=dim)),
+            dim,
+            length=None if lengths is None else draw(lengths),
+        )
+        for _ in range(n)
+    ]
+    flags = [1, 0] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    return rows, flags, dim + (0 if lengths is None else 1)
+
+
+@st.composite
+def linear_instances(draw):
+    values = draw(st.sampled_from([
+        st.integers(1, 5),
+        st.one_of(_TFIDF_VALUES, st.just(1.0)),
+        st.one_of(st.integers(1, 5), _TFIDF_VALUES, st.just(1.0)),
+    ]))
+    rows, flags, n_slots = _vector_sets(draw, values)
+    hp = Hyperparams(
+        seed=draw(st.integers(0, 2**32)),
+        reg_lambda=draw(st.sampled_from([1e-4, 1e-2, 0.5])),
+        epochs=draw(st.integers(1, 4)),
+    )
+    return rows, flags, n_slots, hp
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_instances(), st.sampled_from(["hinge", "logistic"]))
+def test_linear_fit_matches_plain_loop(instance, loss):
+    from vnspam.classifiers import _train_linear
+
+    rows, flags, n_slots, hp = instance
+    got = _train_linear(rows, flags, n_slots, hp, loss)
+    want = oracles.train_linear_plain(rows, flags, n_slots, hp, loss)
+    assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
+
+
+# Equal values of both types, repeated values, halves and a negative one.
+_DT_VALUES = st.sampled_from([1, 1.0, 1, 2, 2.0, 3, 0.5, 1.5, 2.5, -1.0, 7.25])
+
+
+@st.composite
+def dt_instances(draw):
+    rows, flags, _ = _vector_sets(draw, _DT_VALUES, dim_max=6, rows_max=16)
+    return rows, flags, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt_instances())
+def test_dt_fit_matches_plain_loop(instance):
+    from vnspam.classifiers import _train_dt
+
+    rows, flags, max_depth = instance
+    got = _train_dt(rows, flags, max_depth)
+    assert repr(got) == repr(oracles.train_dt_plain(rows, flags, max_depth))

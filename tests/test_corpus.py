@@ -13,7 +13,6 @@ from vnspam import (
     save_corpus,
     stratified_kfold,
 )
-from vnspam.corpus import class_counts
 
 from conftest import synth_corpus
 
@@ -121,7 +120,7 @@ def test_class_counts_skips_unlabeled():
         Message(1, "b", None),
         Message(2, "c", Label.LEGITIMATE),
     ])
-    assert class_counts(corpus) == {Label.SPAM: 1, Label.LEGITIMATE: 1}
+    assert corpus.counts == {Label.SPAM: 1, Label.LEGITIMATE: 1}
 
 
 # -- stratified folds -------------------------------------------------------

@@ -1,8 +1,11 @@
 """Fit/persist plumbing: config validation, fitting, canonical model files."""
 
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnspam import (
     Corpus,
@@ -14,8 +17,11 @@ from vnspam import (
     predict,
 )
 from vnspam.pipeline import _dumps
+from vnspam.preprocess import ENTITY_GROUPS, EntityRuleSet
 
 from conftest import synth_corpus
+
+import oracles
 
 FAST = PipelineConfig(min_df=1, length_feature=False, epochs=5)
 
@@ -244,3 +250,72 @@ def test_dumps_rejects_unserializable():
         _dumps({"x": {1, 2}})
     with pytest.raises(ModelFileError, match="non-string key"):
         _dumps({1: "x"})
+
+
+# -- canonical JSON against the per-item emitter -------------------------------
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 1, True, 0]),
+    st.text(max_size=4),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))),
+        st.dictionaries(st.text(max_size=4), inner, max_size=5),
+        st.just([[]]),
+        st.just({"": {}}),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_DOCS)
+def test_dumps_matches_per_item_emitter(doc):
+    assert _dumps(doc) == oracles.dumps_per_item(doc)
+
+
+# -- fast fit path against the plain loops, end to end --------------------------
+
+
+def _tag_entities_per_char(text, rules=None):
+    compiled = [(r.group, r.regex) for r in (rules or EntityRuleSet.default())]
+    return oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
+
+
+def test_fast_fit_path_writes_the_plain_loops_bytes(tmp_path, monkeypatch):
+    messages = synth_corpus(300, seed=17, tag_spam=True).messages
+    configs = [
+        PipelineConfig(classifier=kind, representation=rep, length_feature=length)
+        for kind in ("nb", "svm", "lr", "dt", "knn")
+        for rep in ("bow", "tfidf")
+        for length in (True, False)
+    ]
+
+    def save_all(prefix):
+        paths = []
+        for config in configs:
+            path = tmp_path / f"{prefix}-{config.name}.json"
+            FittedPipeline.fit(messages, config).save(path)
+            paths.append(path)
+        return paths
+
+    shipped = save_all("shipped")
+    # The package attribute vnspam.preprocess is the preprocess() function.
+    classifiers, pipeline, preprocess = (
+        sys.modules[f"vnspam.{name}"] for name in ("classifiers", "pipeline", "preprocess")
+    )
+    monkeypatch.setattr(classifiers, "_train_linear", oracles.train_linear_plain)
+    monkeypatch.setattr(classifiers, "_train_dt", oracles.train_dt_plain)
+    monkeypatch.setattr(preprocess, "tag_entities", _tag_entities_per_char)
+    monkeypatch.setattr(pipeline, "tag_entities", _tag_entities_per_char)
+    monkeypatch.setattr(pipeline, "_dumps", oracles.dumps_per_item)
+    plain = save_all("plain")
+    for a, b in zip(shipped, plain):
+        assert a.read_bytes() == b.read_bytes(), a.name

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnspam.preprocess import (
     ENTITY_GROUPS,
@@ -138,6 +140,39 @@ def test_tagging_output_tokens_are_clean():
             assert tok == tok.lower()
             if "<" in tok or ">" in tok:
                 assert tok in {f"<{g}>" for g in ENTITY_GROUPS}
+
+
+# -- tagging: regex pass against the per-character loop it replaced ----------
+
+# Characters where str.isalnum()/isspace() and re's classes could part ways:
+# "_", NUL, apostrophes at word edges, the separators \x1c-\x1f (isspace),
+# no-break and other Unicode spaces, a zero-width space (not isspace),
+# combining marks, digits of other scripts and letters that lowercase to two
+# characters.
+_EDGE_PIECES = [
+    "_", "a_b", "\x00", "\x00link\x00", "'", "’", "a'b", "a’b", "'a", "a'", "_'a", "a'_",
+    "1'2", "a''b", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u202f", "\u3000",
+    "\u2028", "\u200b", "\u0301", "e\u0301'x", "\u0663", "\u00b2", "\u0130'a",
+    "<phone>", "<NUMBER>", "0912345678", "20/10/2016", ":)", "50k", "www.a.vn",
+]
+
+_CUSTOM_RULES = EntityRuleSet([
+    EntityRule("emoticon", r"[:;]'?[()]"),
+    EntityRule("link", r"\w+_\w+"),
+    EntityRule("number", r"\d+'?"),
+])
+
+
+@pytest.mark.parametrize("rules", [None, _CUSTOM_RULES], ids=["default", "custom"])
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.one_of(st.sampled_from(_EDGE_PIECES), st.text(max_size=3))).map("".join),
+))
+def test_tagging_matches_per_character_loop(rules, text):
+    compiled = [(r.group, r.regex) for r in (rules or EntityRuleSet.default())]
+    want = oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
+    assert tag_entities(text, rules) == want
 
 
 # -- rule files ---------------------------------------------------------------
