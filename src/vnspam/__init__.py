@@ -54,7 +54,6 @@ from .preprocess import (
     EntityRuleSet,
     collocation_score,
     fit_collocations,
-    preprocess,
     segment,
     tag_entities,
 )

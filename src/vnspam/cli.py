@@ -13,10 +13,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
+from .classifiers import KINDS
 from .corpus import CorpusError, load_corpus, stratified_kfold, Label
 from .evaluation import reference_grid, format_table, run_grid, write_csv
 from .pipeline import (
+    REPRESENTATIONS,
     FittedPipeline,
     ModelFileError,
     PipelineConfig,
@@ -28,106 +31,61 @@ from .preprocess import EntityRuleSet
 __all__ = ["main", "run", "build_parser"]
 
 
+# (field, flag, help) for each PipelineConfig field, by --help group. Defaults
+# and types come from PipelineConfig(), choices from KINDS and REPRESENTATIONS.
+_MODEL_FLAGS = (
+    ("classifier", "--clf", "classifier kind"),
+    ("representation", "--rep", "feature representation"),
+    ("min_df", "--min-df", "drop terms seen in fewer than this many training messages"),
+    ("length_feature", "--length-feature", "append the message length, in units of 160 characters, as one extra feature"),
+    (
+        "preprocess",
+        "--preprocess",
+        "entity tagging plus collocation segmentation (--no-preprocess: split raw text on whitespace)",
+    ),
+    ("seed", "--seed", "seed for every random choice"),
+    ("alpha", "--alpha", "nb additive smoothing"),
+    ("reg_lambda", "--lambda", "svm/lr L2 regularization strength"),
+    ("epochs", "--epochs", "svm/lr passes over the data"),
+    ("max_depth", "--max-depth", "dt depth cutoff"),
+    ("k", "--k", "knn neighbor count"),
+)
+_PREPROCESSING_FLAGS = (
+    ("discount", "--delta", "discount subtracted from each pair count in the collocation score"),
+    ("colloc_threshold", "--colloc-threshold", "minimum discounted score for a pair to merge"),
+    ("min_count", "--min-count", "drop pairs seen fewer than this many times"),
+    ("passes", "--passes", "segmentation passes; more than one can join words of 3+ syllables"),
+    ("nfc", "--nfc", "apply NFC normalization to message text before any other step"),
+)
+_CHOICES = {"classifier": KINDS, "representation": REPRESENTATIONS}
+
+
+def _add_flags(group, rows) -> None:
+    defaults = PipelineConfig()
+    for name, flag, text in rows:
+        default = getattr(defaults, name)
+        if type(default) is bool:
+            # --no-<flag> only where the default is on, so --nfc stays one flag
+            kwargs = {"action": argparse.BooleanOptionalAction if default else "store_true"}
+        else:
+            kwargs = {"type": type(default), "choices": _CHOICES.get(name)}
+        arg = group.add_argument(flag, dest=name, default=default, help=text, **kwargs)
+        if "%(default)" not in arg.help:  # BooleanOptionalAction adds it on Python 3.10
+            arg.help += " (default: %(default)s)"
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, with_classifier: bool = True) -> None:
     if with_classifier:
-        model = parser.add_argument_group("model")
-        model.add_argument(
-            "--clf",
-            dest="classifier",
-            choices=["baseline", "nb", "svm", "lr", "dt", "knn"],
-            default="svm",
-            help="classifier kind (default: svm)",
-        )
-        model.add_argument(
-            "--rep",
-            dest="representation",
-            choices=["bow", "tfidf"],
-            default="bow",
-            help="feature representation (default: bow)",
-        )
-        model.add_argument(
-            "--min-df",
-            type=int,
-            default=3,
-            help="drop terms seen in fewer than this many training messages (default: 3)",
-        )
-        model.add_argument(
-            "--length-feature",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="append the message length, in units of 160 characters, as one extra feature",
-        )
-        model.add_argument(
-            "--preprocess",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="entity tagging plus collocation segmentation (--no-preprocess: split raw text on whitespace)",
-        )
-        model.add_argument("--seed", type=int, default=42, help="seed for every random choice (default: 42)")
-        model.add_argument("--alpha", type=float, default=1.0, help="nb additive smoothing (default: 1)")
-        model.add_argument(
-            "--lambda",
-            dest="reg_lambda",
-            type=float,
-            default=1e-4,
-            help="svm/lr L2 regularization strength (default: 1e-4)",
-        )
-        model.add_argument("--epochs", type=int, default=50, help="svm/lr passes over the data (default: 50)")
-        model.add_argument("--max-depth", type=int, default=20, help="dt depth cutoff (default: 20)")
-        model.add_argument("--k", type=int, default=5, help="knn neighbor count (default: 5)")
-
+        _add_flags(parser.add_argument_group("model"), _MODEL_FLAGS)
     prep = parser.add_argument_group("preprocessing")
-    prep.add_argument(
-        "--delta",
-        dest="discount",
-        type=float,
-        default=5.0,
-        help="discount subtracted from each pair count in the collocation score (default: 5)",
-    )
-    prep.add_argument(
-        "--colloc-threshold",
-        type=float,
-        default=1e-4,
-        help="minimum discounted score for a pair to merge (default: 1e-4)",
-    )
-    prep.add_argument(
-        "--min-count",
-        type=int,
-        default=10,
-        help="drop pairs seen fewer than this many times (default: 10)",
-    )
-    prep.add_argument(
-        "--passes",
-        type=int,
-        default=1,
-        help="segmentation passes; more than one can join words of 3+ syllables (default: 1)",
-    )
+    _add_flags(prep, _PREPROCESSING_FLAGS)
     prep.add_argument("--rules", metavar="PATH", help="entity rules file overriding the built-in one")
-    prep.add_argument(
-        "--nfc",
-        action="store_true",
-        help="apply NFC normalization to message text before any other step",
-    )
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
+    """The config the flags describe; fields without a flag keep their default."""
     return PipelineConfig(
-        classifier=args.classifier,
-        representation=args.representation,
-        preprocess=args.preprocess,
-        min_df=args.min_df,
-        length_feature=args.length_feature,
-        seed=args.seed,
-        discount=args.discount,
-        colloc_threshold=args.colloc_threshold,
-        min_count=args.min_count,
-        passes=args.passes,
-        nfc=args.nfc,
-        alpha=args.alpha,
-        reg_lambda=args.reg_lambda,
-        epochs=args.epochs,
-        max_depth=args.max_depth,
-        k=args.k,
+        **{f.name: getattr(args, f.name) for f in fields(PipelineConfig) if hasattr(args, f.name)}
     )
 
 
@@ -253,17 +211,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
+    config.validate()
     rules = _load_rules(args)
     corpus = load_corpus(args.corpus)
-    if args.passes < 1:
-        raise ValueError(f"--passes must be >= 1, got {args.passes}")
-    config = PipelineConfig(
-        discount=args.discount,
-        colloc_threshold=args.colloc_threshold,
-        min_count=args.min_count,
-        passes=args.passes,
-        nfc=args.nfc,
-    )
     streams = [normalize(m.text, config, rules).tokens for m in corpus.messages]
     models, streams = fit_segmentation(streams, config)
     if args.show_merges:

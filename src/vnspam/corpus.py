@@ -86,15 +86,13 @@ class Corpus:
         return self._messages[i]
 
 
-def load_corpus(path: str | Path, format: str = "tsv") -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Read a ``<label>TAB<text>`` file, one message per line, UTF-8.
 
     Labels are exactly ``spam`` or ``ham``. Blank lines are skipped; ids are
     assigned by load order starting at 0. Only the first tab separates label
     from text, so the text may itself contain tabs and round-trips verbatim.
     """
-    if format.lower() != "tsv":
-        raise CorpusError(f"unsupported corpus format {format!r} (only 'tsv')")
     p = Path(path)
     try:
         raw = p.read_bytes()

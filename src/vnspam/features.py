@@ -75,6 +75,10 @@ class FeatureVector:
                 raise ValueError(f"feature index {idx} out of range for dim {self.dim}")
             if w == 0:
                 raise ValueError(f"zero weight stored at index {idx}")
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight {w!r} stored at index {idx}")
+        if self.length_feature is not None and not math.isfinite(self.length_feature):
+            raise ValueError(f"non-finite length feature {self.length_feature!r} at index {self.dim}")
 
     @property
     def n_slots(self) -> int:

@@ -112,14 +112,7 @@ class PipelineConfig:
         self.hyperparams().validate(self.classifier)
 
     def hyperparams(self) -> Hyperparams:
-        return Hyperparams(
-            seed=self.seed,
-            alpha=self.alpha,
-            reg_lambda=self.reg_lambda,
-            epochs=self.epochs,
-            max_depth=self.max_depth,
-            k=self.k,
-        )
+        return Hyperparams(**{f.name: getattr(self, f.name) for f in fields(Hyperparams)})
 
     @property
     def name(self) -> str:
@@ -194,6 +187,18 @@ def fit_segmentation(
     return models, streams
 
 
+def _featurize(
+    stream: list[str], text: str, vocab: Vocabulary, config: PipelineConfig
+) -> FeatureVector:
+    """The featurize stage for one segmented message: counts or tf-idf over
+    ``vocab``, plus the length of ``text`` if ``config.length_feature``."""
+    vectorize = vectorize_bow if config.representation == "bow" else vectorize_tfidf
+    vec = vectorize(stream, vocab)
+    if config.length_feature:
+        vec = append_length(vec, text)
+    return vec
+
+
 class FittedPipeline:
     """A trained spam filter ready to score raw message text."""
 
@@ -260,10 +265,7 @@ class FittedPipeline:
         preprocessed_terms = len({tok for s in streams for tok in s})
 
         vocab = build_vocabulary(streams, min_df=config.min_df)
-        vectorize = vectorize_bow if config.representation == "bow" else vectorize_tfidf
-        vectors = [vectorize(s, vocab) for s in streams]
-        if config.length_feature:
-            vectors = [append_length(v, t) for v, t in zip(vectors, texts)]
+        vectors = [_featurize(s, t, vocab, config) for s, t in zip(streams, texts)]
         model = train(config.classifier, vectors, labels, config.hyperparams())
         stats = FitStats(len(texts), raw_terms, preprocessed_terms, len(vocab))
         return cls(config, rules, collocations, vocab, model, stats)
@@ -285,11 +287,7 @@ class FittedPipeline:
     def _vector(self, norm: Normalized) -> FeatureVector:
         if self.vocab is None:
             raise ValueError("the rule baseline has no feature space")
-        vectorize = vectorize_bow if self.config.representation == "bow" else vectorize_tfidf
-        vec = vectorize(self._segment(norm.tokens), self.vocab)
-        if self.config.length_feature:
-            vec = append_length(vec, norm.text)
-        return vec
+        return _featurize(self._segment(norm.tokens), norm.text, self.vocab, self.config)
 
     def predict_text(self, text: str, normalized: Normalized | None = None) -> Prediction:
         """Label one raw message.
@@ -382,12 +380,7 @@ class FittedPipeline:
                 "vocab_fingerprint": self.model.vocab_fingerprint,
                 "params": self.model.params,
             },
-            "stats": {
-                "messages": self.stats.messages,
-                "raw_terms": self.stats.raw_terms,
-                "preprocessed_terms": self.stats.preprocessed_terms,
-                "selected_terms": self.stats.selected_terms,
-            },
+            "stats": {f.name: getattr(self.stats, f.name) for f in fields(self.stats)},
         }
 
     @classmethod
@@ -420,10 +413,7 @@ class FittedPipeline:
             has_length=md["has_length"],
             vocab_fingerprint=md["vocab_fingerprint"],
         )
-        sd = doc["stats"]
-        stats = FitStats(
-            sd["messages"], sd["raw_terms"], sd["preprocessed_terms"], sd["selected_terms"]
-        )
+        stats = FitStats(*(doc["stats"][f.name] for f in fields(FitStats)))
         if collocations and not config.preprocess:
             raise ValueError("collocation models stored without preprocessing")
         if model.kind != config.classifier:

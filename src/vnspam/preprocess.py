@@ -25,7 +25,6 @@ __all__ = [
     "collocation_score",
     "fit_collocations",
     "segment",
-    "preprocess",
 ]
 
 ENTITY_GROUPS = ("link", "emoticon", "date", "phone", "currency", "number")
@@ -198,17 +197,6 @@ class CollocationModel:
                 merges[(a, b)] = score
         self.merges = merges
 
-    def score(self, left: str, right: str) -> float:
-        pair = (left, right)
-        if pair not in self.bigram_counts:
-            raise KeyError(f"pair {pair!r} not stored (count below min_count?)")
-        return collocation_score(
-            self.bigram_counts[pair],
-            self.unigram_counts[left],
-            self.unigram_counts[right],
-            self.discount,
-        )
-
     def should_merge(self, left: str, right: str) -> bool:
         return (left, right) in self.merges
 
@@ -265,13 +253,3 @@ def segment(tokens, model: CollocationModel) -> list[str]:
             out.append(tokens[i])
             i += 1
     return out
-
-
-def preprocess(
-    text: str, rules: EntityRuleSet | None = None, model: CollocationModel | None = None
-) -> list[str]:
-    """Full normalization of one message: tag, split, then segment."""
-    tokens = tag_entities(text, rules).split()
-    if model is None:
-        return tokens
-    return segment(tokens, model)

@@ -2,13 +2,19 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
+from dataclasses import fields, replace
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vnspam import FittedPipeline, save_corpus
-from vnspam.cli import main
+from vnspam import FittedPipeline, Hyperparams, Label, ModelFileError, PipelineConfig, save_corpus
+from vnspam.cli import _config_from_args, build_parser, main
 
 from conftest import synth_corpus
 
@@ -69,6 +75,69 @@ def test_unknown_flag_is_usage_error(corpus_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", str(corpus_path), "--frobnicate"])
     assert exc.value.code == 2
+
+
+# -- flags and PipelineConfig --------------------------------------------------
+
+
+def parsed_config(argv):
+    return _config_from_args(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "tokenize"])
+def test_no_flags_give_the_config_defaults(command):
+    assert parsed_config([command, "corpus.tsv"]) == PipelineConfig()
+
+
+# (flags, field, value): one non-default value for every PipelineConfig field
+FLAG_VALUES = [
+    (["--clf", "knn"], "classifier", "knn"),
+    (["--rep", "tfidf"], "representation", "tfidf"),
+    (["--no-preprocess"], "preprocess", False),
+    (["--min-df", "2"], "min_df", 2),
+    (["--no-length-feature"], "length_feature", False),
+    (["--seed", "7"], "seed", 7),
+    (["--delta", "2"], "discount", 2.0),
+    (["--colloc-threshold", "0.5"], "colloc_threshold", 0.5),
+    (["--min-count", "4"], "min_count", 4),
+    (["--passes", "3"], "passes", 3),
+    (["--nfc"], "nfc", True),
+    (["--alpha", "0.5"], "alpha", 0.5),
+    (["--lambda", "0.01"], "reg_lambda", 0.01),
+    (["--epochs", "9"], "epochs", 9),
+    (["--max-depth", "6"], "max_depth", 6),
+    (["--k", "3"], "k", 3),
+]
+
+
+def test_flag_values_cover_every_config_field():
+    assert sorted(name for _, name, _ in FLAG_VALUES) == sorted(f.name for f in fields(PipelineConfig))
+
+
+@pytest.mark.parametrize("flags,name,value", FLAG_VALUES, ids=[f[0] for f, _, _ in FLAG_VALUES])
+def test_each_flag_sets_its_config_field(flags, name, value):
+    config = parsed_config(["train", "corpus.tsv", *flags])
+    assert config == replace(PipelineConfig(), **{name: value})
+    assert type(getattr(config, name)) is type(value)
+
+
+def test_nfc_has_no_negative_flag(corpus_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", str(corpus_path), "--no-nfc"])
+    assert exc.value.code == 2
+
+
+def test_config_hyperparams_default_to_hyperparams_defaults():
+    assert PipelineConfig().hyperparams() == Hyperparams()
+
+
+def test_help_shows_every_config_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # keep each flag's help on one line
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    out = capsys.readouterr().out
+    for f in fields(PipelineConfig):
+        assert f"(default: {getattr(PipelineConfig(), f.name)})" in out, f.name
 
 
 # -- predict -------------------------------------------------------------------
@@ -223,6 +292,56 @@ def test_predict_rejects_bad_model_params(case, saved_models, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _json_paths(node, path=()):
+    """The key path of every value below a JSON document's root."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+# one value of each JSON type, so every value can be given another type
+RETYPES = (None, True, 0, 1.5, "x", [], {})
+PROBES = (
+    "khuyen mai goi ngay 0912345678",
+    "an com chua ban oi",
+    "[QC] nap the ngay www.shop.vn 50k",
+    "!!!",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_model_file_fails_cleanly_or_predicts(data, saved_models):
+    kind = data.draw(st.sampled_from(sorted(saved_models)), label="kind")
+    doc = json.loads(saved_models[kind].read_text(encoding="utf-8"))
+    *parents, key = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+    owner = reduce(getitem, parents, doc)
+    value = owner[key]
+    how = data.draw(st.sampled_from(["delete", "retype", "truncate"]), label="how")
+    if how == "delete":
+        del owner[key]
+    elif how == "truncate" and isinstance(value, (str, list, dict)) and value:
+        n = data.draw(st.integers(0, len(value) - 1), label="keep")
+        owner[key] = dict(list(value.items())[:n]) if isinstance(value, dict) else value[:n]
+    else:
+        owner[key] = data.draw(st.sampled_from([r for r in RETYPES if type(r) is not type(value)]))
+    path = saved_models[kind].parent / "fuzzed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        fitted = FittedPipeline.load(path)
+    except ModelFileError:
+        return
+    for text in PROBES:
+        pred = fitted.predict_text(text)
+        assert isinstance(pred.label, Label) and math.isfinite(pred.score)
+
+
 # -- evaluate ------------------------------------------------------------------
 
 
@@ -290,6 +409,14 @@ def test_tokenize_show_merges(tmp_path, capsys):
     out = capsys.readouterr().out
     score = (12 - 5.0) / (12 * 12)
     assert out == f"khuyen mai\t{score!r}\n"
+
+
+def test_tokenize_rejects_zero_passes(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("spam\tkhuyen mai\n", encoding="utf-8")
+    rc = main(["tokenize", str(corpus), "--passes", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_tokenize_closed_pipe_is_quiet(tmp_path, capsys, monkeypatch):

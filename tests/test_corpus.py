@@ -86,12 +86,6 @@ def test_stray_line_separator_rejected(tmp_path):
         load_corpus(p)
 
 
-def test_unsupported_format_rejected(tmp_path):
-    p = write(tmp_path, "spam\ta\n")
-    with pytest.raises(CorpusError, match="format"):
-        load_corpus(p, format="csv")
-
-
 def test_save_load_round_trip(tmp_path):
     corpus = synth_corpus(60, seed=3)
     p = tmp_path / "rt.tsv"

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from vnspam import Label, train
 from vnspam.features import (
     SMS_CAPACITY,
     FeatureVector,
@@ -85,6 +86,26 @@ def test_vector_validates_entries():
         FeatureVector(weights={5: 1.0}, dim=3)
     with pytest.raises(ValueError, match="zero weight"):
         FeatureVector(weights={0: 0.0}, dim=3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vector_rejects_non_finite_weights(bad):
+    # A NaN row goes to neither side of a dt split, which used to leave an
+    # empty child and a ZeroDivisionError inside train().
+    with pytest.raises(ValueError, match="non-finite weight .* index 0"):
+        vectors = [
+            FeatureVector(weights={0: 1.0}, dim=2),
+            FeatureVector(weights={1: 1.0}, dim=2),
+            FeatureVector(weights={0: bad, 1: 2}, dim=2),
+            FeatureVector(weights={0: 2.0, 1: 1.0}, dim=2),
+        ]
+        train("dt", vectors, [Label.SPAM, Label.LEGITIMATE, Label.SPAM, Label.LEGITIMATE])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_vector_rejects_non_finite_length_feature(bad):
+    with pytest.raises(ValueError, match="non-finite length feature .* index 2"):
+        FeatureVector(weights={0: 1.0}, dim=2, length_feature=bad)
 
 
 def test_slot_items_sorted_with_length_last():

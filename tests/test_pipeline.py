@@ -1,7 +1,6 @@
 """Fit/persist plumbing: config validation, fitting, canonical model files."""
 
 import json
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +15,7 @@ from vnspam import (
     PipelineConfig,
     predict,
 )
+from vnspam import classifiers, pipeline, preprocess
 from vnspam.pipeline import _dumps
 from vnspam.preprocess import ENTITY_GROUPS, EntityRuleSet
 
@@ -307,10 +307,6 @@ def test_fast_fit_path_writes_the_plain_loops_bytes(tmp_path, monkeypatch):
         return paths
 
     shipped = save_all("shipped")
-    # The package attribute vnspam.preprocess is the preprocess() function.
-    classifiers, pipeline, preprocess = (
-        sys.modules[f"vnspam.{name}"] for name in ("classifiers", "pipeline", "preprocess")
-    )
     monkeypatch.setattr(classifiers, "_train_linear", oracles.train_linear_plain)
     monkeypatch.setattr(classifiers, "_train_dt", oracles.train_dt_plain)
     monkeypatch.setattr(preprocess, "tag_entities", _tag_entities_per_char)

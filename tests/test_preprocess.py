@@ -1,11 +1,14 @@
 """Entity tagging and collocation segmentation."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vnspam
+from vnspam.pipeline import PipelineConfig, normalize
 from vnspam.preprocess import (
     ENTITY_GROUPS,
     CollocationModel,
@@ -13,7 +16,6 @@ from vnspam.preprocess import (
     EntityRuleSet,
     collocation_score,
     fit_collocations,
-    preprocess,
     segment,
     tag_entities,
 )
@@ -302,12 +304,6 @@ def test_model_validates_inputs():
         CollocationModel(-1.0, 1, 1e-4, {}, {})
 
 
-def test_model_score_requires_stored_pair():
-    model = fit_collocations([["a", "b"]], discount=0.0, min_count=1, threshold=1e-9)
-    with pytest.raises(KeyError):
-        model.score("b", "a")
-
-
 def test_merges_by_score_sorted_descending():
     docs = [["a", "b"]] * 12 + [["c", "d"]] * 4 + [["a", "b", "c", "d"]] * 2
     model = fit_collocations(docs, discount=0.0, min_count=2, threshold=1e-9)
@@ -372,7 +368,11 @@ def test_segment_round_trip():
         assert all(tok and " " not in tok for tok in out)
 
 
-# -- full preprocess -----------------------------------------------------------
+# -- full preprocess: the pipeline's normalize stage, then segment ------------
+
+
+def test_package_attribute_preprocess_is_the_submodule():
+    assert vnspam.preprocess is sys.modules["vnspam.preprocess"]
 
 
 def test_preprocess_equals_composition():
@@ -380,12 +380,14 @@ def test_preprocess_equals_composition():
     model = merge_model({("khuyen", "mai"), ("<phone>", "<link>")})
     for _ in range(1000):
         msg = random_message(rng)
-        assert preprocess(msg, model=model) == segment(tag_entities(msg).split(), model)
+        tokens = normalize(msg, PipelineConfig()).tokens
+        assert segment(tokens, model) == segment(tag_entities(msg).split(), model)
 
 
 def test_preprocess_without_model_just_tags():
-    assert preprocess("Goi 19001234 nhe") == ["goi", "<phone>", "nhe"]
+    assert normalize("Goi 19001234 nhe", PipelineConfig()).tokens == ["goi", "<phone>", "nhe"]
 
 
 def test_preprocess_empty_after_tagging():
-    assert preprocess("!!!", model=merge_model({("a", "b")})) == []
+    tokens = normalize("!!!", PipelineConfig()).tokens
+    assert segment(tokens, merge_model({("a", "b")})) == []
