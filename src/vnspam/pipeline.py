@@ -90,6 +90,11 @@ class PipelineConfig:
     k: int = 5
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # every field goes into the model file, whichever learner reads it
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value}")
         if self.classifier not in KINDS:
             raise ValueError(
                 f"unknown classifier {self.classifier!r} (expected one of {KINDS})"
@@ -266,8 +271,10 @@ class FittedPipeline:
 
         vocab = build_vocabulary(streams, min_df=config.min_df)
         vectors = [_featurize(s, t, vocab, config) for s, t in zip(streams, texts)]
-        model = train(config.classifier, vectors, labels, config.hyperparams())
         stats = FitStats(len(texts), raw_terms, preprocessed_terms, len(vocab))
+        # Let the learner reuse the token streams' memory; a caller's list stays.
+        del normalized, texts, streams
+        model = train(config.classifier, vectors, labels, config.hyperparams())
         return cls(config, rules, collocations, vocab, model, stats)
 
     # -- prediction ------------------------------------------------------
@@ -304,14 +311,17 @@ class FittedPipeline:
     # -- persistence -----------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the versioned model file atomically (temp file + rename)."""
+        """Write the versioned model file atomically (temp file + rename).
+
+        The text is streamed into the temp file, never held whole in memory.
+        """
         doc = self._to_doc()
-        payload = _dumps(doc) + "\n"
         p = Path(path)
         fd, tmp = tempfile.mkstemp(dir=str(p.parent) or ".", prefix=p.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload)
+                _emit(doc, fh.write, 0)
+                fh.write("\n")
             os.replace(tmp, p)
         except BaseException:
             if os.path.exists(tmp):
@@ -440,53 +450,67 @@ def _dumps(value) -> str:
     which is what makes model files byte-stable across save/load cycles.
     """
     out: list[str] = []
-    _emit(value, out, 0)
+    _emit(value, out.append, 0)
     return "".join(out)
 
 
-def _emit(value, out: list[str], depth: int) -> None:
+def _emit(value, write, depth: int) -> None:
+    """Pass the text of ``value`` at indent ``depth`` to ``write``, in pieces."""
     pad = " " * depth
     if value is None:
-        out.append("null")
+        write("null")
     elif value is True:
-        out.append("true")
+        write("true")
     elif value is False:
-        out.append("false")
+        write("false")
     elif isinstance(value, int):
-        out.append(str(value))
+        write(str(value))
     elif isinstance(value, float):
-        out.append(_format_float(value))
+        write(_format_float(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
+        write(json.dumps(value, ensure_ascii=False))
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            write("{}")
             return
-        out.append("{\n")
+        write("{\n")
         keys = sorted(value)
         for i, key in enumerate(keys):
             if not isinstance(key, str):
                 raise ModelFileError(f"non-string key {key!r} in model document")
-            out.append(pad + " " + json.dumps(key, ensure_ascii=False) + ": ")
-            _emit(value[key], out, depth + 1)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
+            write(pad + " " + json.dumps(key, ensure_ascii=False) + ": ")
+            _emit(value[key], write, depth + 1)
+            write(",\n" if i < len(keys) - 1 else "\n")
+        write(pad + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            write("[]")
             return
         if all(type(x) is int or type(x) is float for x in value):
-            # Weight vectors, likelihoods and knn entries: one string, not three per item.
+            # Weight vectors, likelihoods and norms: one string, not three per item.
             sep = ",\n" + pad + " "
-            body = sep.join(str(x) if type(x) is int else _format_float(x) for x in value)
-            out.append("[\n" + pad + " " + body + "\n" + pad + "]")
+            write("[\n" + pad + " " + sep.join(map(_format_number, value)) + "\n" + pad + "]")
             return
-        out.append("[\n")
+        if all(
+            type(x) is list and len(x) == 2 and type(x[0]) is int
+            and (type(x[1]) is int or type(x[1]) is float)
+            for x in value
+        ):
+            # A knn row of [index, value] pairs: one string, not a call per pair.
+            head = pad + " [\n" + pad + "  "
+            mid = ",\n" + pad + "  "
+            tail = "\n" + pad + " ]"
+            body = ",\n".join(
+                head + str(i) + mid + _format_number(v) + tail for i, v in value
+            )
+            write("[\n" + body + "\n" + pad + "]")
+            return
+        write("[\n")
         for i, item in enumerate(value):
-            out.append(pad + " ")
-            _emit(item, out, depth + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
+            write(pad + " ")
+            _emit(item, write, depth + 1)
+            write(",\n" if i < len(value) - 1 else "\n")
+        write(pad + "]")
     else:
         raise ModelFileError(f"cannot serialize {type(value).__name__} in model document")
 
@@ -496,6 +520,10 @@ def _finite_float(literal: str) -> float:
     if not math.isfinite(f):
         raise ValueError(f"non-finite number {literal}")
     return f
+
+
+def _format_number(x: int | float) -> str:
+    return str(x) if type(x) is int else _format_float(x)
 
 
 def _format_float(f: float) -> str:

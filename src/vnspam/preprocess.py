@@ -60,7 +60,7 @@ class EntityRule:
             )
         try:
             regex = re.compile(self.pattern, re.IGNORECASE)
-        except re.error as exc:
+        except (re.error, OverflowError, RecursionError) as exc:  # a{2**32}, deep nesting
             raise ValueError(f"bad pattern for group {self.group!r}: {exc}") from exc
         object.__setattr__(self, "_regex", regex)
 
@@ -105,7 +105,11 @@ class EntityRuleSet:
     @classmethod
     def from_file(cls, path: str | Path) -> "EntityRuleSet":
         p = Path(path)
-        return cls.from_lines(p.read_text(encoding="utf-8").splitlines(), source=str(p))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"rules file {p} is not valid UTF-8: {exc}") from exc
+        return cls.from_lines(text.splitlines(), source=str(p))
 
     @classmethod
     def default(cls) -> "EntityRuleSet":

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in-process via main()."""
 
+import contextlib
 import io
 import json
 import math
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnspam import FittedPipeline, Hyperparams, Label, ModelFileError, PipelineConfig, save_corpus
+from vnspam.classifiers import KINDS
 from vnspam.cli import _config_from_args, build_parser, main
+from vnspam.preprocess import ENTITY_GROUPS
 
 from conftest import synth_corpus
 
@@ -69,6 +72,28 @@ def test_train_rejects_bad_hyperparams(tmp_path, corpus_path, capsys):
     )
     assert rc == 1
     assert "k must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--delta", "--colloc-threshold", "--alpha", "--lambda"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_non_finite_config_float_fails_before_fitting(command, flag, value, tmp_path, corpus_path, capsys):
+    model = tmp_path / "m.json"
+    argv = [command, str(corpus_path), flag, value]
+    rc = main(argv + (["-o", str(model)] if command == "train" else ["--folds", "2"]))
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "must be a finite number" in err
+    assert out == "" and not model.exists()
+
+
+def test_rules_file_not_utf8_names_the_file(tmp_path, corpus_path, capsys):
+    rules = tmp_path / "rules.tsv"
+    rules.write_bytes(b"\xff\n")
+    rc = main(["tokenize", str(corpus_path), "--rules", str(rules)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(rules) in err
 
 
 def test_unknown_flag_is_usage_error(corpus_path):
@@ -340,6 +365,106 @@ def test_fuzzed_model_file_fails_cleanly_or_predicts(data, saved_models):
     for text in PROBES:
         pred = fitted.predict_text(text)
         assert isinstance(pred.label, Label) and math.isfinite(pred.score)
+
+
+def test_dt_child_not_below_its_split_fails_to_load(saved_models, tmp_path, capsys):
+    doc = json.loads(saved_models["dt"].read_text(encoding="utf-8"))
+    nodes = doc["model"]["params"]["nodes"]
+    splits = [j for j, node in enumerate(nodes) if "feature" in node]
+    assert splits
+    path = tmp_path / "loop.json"
+    for j in splits:
+        for side in ("left", "right"):
+            for child in {j, len(nodes) - 1}:  # itself, and the last node
+                edited = json.loads(json.dumps(doc))
+                edited["model"]["params"]["nodes"][j][side] = child
+                path.write_text(json.dumps(edited), encoding="utf-8")
+                with pytest.raises(ModelFileError, match=f"dt node {j} is malformed"):
+                    FittedPipeline.load(path)
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- fuzzed corpus and rule files ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _assert_exits_cleanly(argv):
+    """main(argv) exits 0, or 1 with an error line; an exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc == 0 or (rc == 1 and err.getvalue().startswith("error: ")), (rc, err.getvalue())
+
+
+_WORDS = st.sampled_from(["khuyen mai 0912345678", "an com chua :)", "[QC] 50k www.shop.vn", "20/10"])
+_TSV_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from(["spam", "ham", "SPAM", " ham", "x", ""]),
+        st.sampled_from(["\t", "", "\t\t", " "]),
+        st.one_of(_WORDS, st.text(max_size=12)),
+    ).map("".join),
+    st.text(max_size=12),
+)
+_TSV_BYTES = st.one_of(
+    st.lists(_TSV_LINE, max_size=8).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_TSV_BYTES, command=st.sampled_from(["train", "tokenize"]), kind=st.sampled_from(KINDS))
+def test_fuzzed_corpus_fails_cleanly(raw, command, kind, fuzz_dir):
+    corpus = fuzz_dir / "corpus.tsv"
+    corpus.write_bytes(raw)
+    argv = [command, str(corpus)]
+    if command == "train":
+        argv += ["-o", str(fuzz_dir / "m.json"), "--clf", kind, "--min-df", "1", "--epochs", "2"]
+    _assert_exits_cleanly(argv)
+
+
+# short regex pieces; the corpus texts stay short so no pattern can backtrack for long
+_PATTERN = st.one_of(
+    st.lists(
+        st.sampled_from(
+            ["a", "\\d", "+", "*", "(", ")", "[", "]", "|", "?", "{2}", "{99999999999}",
+             "^", "$", ".", "\\b", "\\", "\x00", "(?i)", "(?<=a+)", "(" * 600]
+        ),
+        max_size=6,
+    ).map("".join),
+    st.text(max_size=8),
+)
+_RULE_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from([*ENTITY_GROUPS, "phone ", "bogus", ""]),
+        st.sampled_from(["\t", "", " "]),
+        _PATTERN,
+    ).map("".join),
+    st.sampled_from(["# comment", "", "   "]),
+    st.text(max_size=10),
+)
+_RULE_BYTES = st.one_of(
+    st.lists(_RULE_LINE, max_size=5).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.binary(max_size=20),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_RULE_BYTES, command=st.sampled_from(["train", "tokenize"]))
+def test_fuzzed_rules_file_fails_cleanly(raw, command, fuzz_dir):
+    corpus = fuzz_dir / "short.tsv"
+    corpus.write_text("spam\tgoi 0912345678 aa\nham\tan com 20/10\nspam\t[QC] 50k a.vn\n", encoding="utf-8")
+    rules = fuzz_dir / "rules.tsv"
+    rules.write_bytes(raw)
+    argv = [command, str(corpus), "--rules", str(rules)]
+    if command == "train":
+        argv += ["-o", str(fuzz_dir / "m.json"), "--min-df", "1", "--epochs", "2"]
+    _assert_exits_cleanly(argv)
 
 
 # -- evaluate ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Fit/persist plumbing: config validation, fitting, canonical model files."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,8 @@ FAST = PipelineConfig(min_df=1, length_feature=False, epochs=5)
         (dict(min_count=0), "min-count"),
         (dict(classifier="nb", alpha=0.0), "alpha"),
         (dict(classifier="knn", k=0), "k must"),
+        (dict(classifier="nb", reg_lambda=float("nan")), "reg_lambda must be a finite"),
+        (dict(classifier="svm", alpha=float("inf")), "alpha must be a finite"),
     ],
 )
 def test_config_validate_rejects(kwargs, needle):
@@ -171,6 +174,33 @@ def test_save_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), {1, 2}], ids=["nan", "set"])
+def test_failed_save_keeps_the_old_file(tmp_path, bad):
+    path = tmp_path / "m.json"
+    fitted = fit_small()
+    fitted.save(path)
+    before = path.read_bytes()
+    # "model" sorts after "collocations", "config" and "entity_rules", so the
+    # emitter has already streamed part of the file when it meets the bad value
+    fitted.model.params["zz"] = bad
+    with pytest.raises(ModelFileError):
+        fitted.save(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+    assert path.read_bytes() == before
+
+
+def test_knn_save_streams_instead_of_holding_the_file(tmp_path):
+    path = tmp_path / "knn.json"
+    fitted = FittedPipeline.fit(synth_corpus(1500, seed=5).messages, PipelineConfig(classifier="knn"))
+    tracemalloc.start()
+    try:
+        fitted.save(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(ModelFileError, match="cannot read"):
         FittedPipeline.load(tmp_path / "nope.json")
@@ -262,11 +292,31 @@ _JSON_SCALARS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, 1, True, 0]),
     st.text(max_size=4),
 )
+_NUMBERS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+# knn rows are lists of [index, value] pairs. A row with one near miss among
+# its pairs must not take the pair path: a bool or float index, a bool value,
+# 1 or 3 items, a tuple, an empty list.
+_PAIR = st.tuples(st.integers(), _NUMBERS).map(list)
+_NOT_PAIR = st.one_of(
+    st.tuples(st.booleans(), _NUMBERS).map(list),
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False), _NUMBERS).map(list),
+    st.tuples(st.integers(), st.booleans()).map(list),
+    st.tuples(st.integers()).map(list),
+    st.tuples(st.integers(), _NUMBERS, _NUMBERS).map(list),
+    st.tuples(st.integers(), _NUMBERS),
+    st.just([]),
+)
+_ROW_WITH_MISS = st.tuples(
+    st.lists(_PAIR, max_size=2), _NOT_PAIR, st.lists(_PAIR, max_size=2)
+).map(lambda t: [*t[0], t[1], *t[2]])
 _JSON_DOCS = st.recursive(
     _JSON_SCALARS,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
-        st.lists(st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))),
+        st.lists(_NUMBERS),
+        st.lists(_PAIR, max_size=5),
+        st.lists(st.lists(_PAIR, max_size=3), max_size=3),
+        _ROW_WITH_MISS,
         st.dictionaries(st.text(max_size=4), inner, max_size=5),
         st.just([[]]),
         st.just({"": {}}),
@@ -302,7 +352,10 @@ def test_fast_fit_path_writes_the_plain_loops_bytes(tmp_path, monkeypatch):
         paths = []
         for config in configs:
             path = tmp_path / f"{prefix}-{config.name}.json"
-            FittedPipeline.fit(messages, config).save(path)
+            fitted = FittedPipeline.fit(messages, config)
+            fitted.save(path)
+            # save streams through pipeline._emit; hold its bytes to the per-item emitter
+            assert path.read_bytes() == (oracles.dumps_per_item(fitted._to_doc()) + "\n").encode("utf-8")
             paths.append(path)
         return paths
 
@@ -311,7 +364,6 @@ def test_fast_fit_path_writes_the_plain_loops_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(classifiers, "_train_dt", oracles.train_dt_plain)
     monkeypatch.setattr(preprocess, "tag_entities", _tag_entities_per_char)
     monkeypatch.setattr(pipeline, "tag_entities", _tag_entities_per_char)
-    monkeypatch.setattr(pipeline, "_dumps", oracles.dumps_per_item)
     plain = save_all("plain")
     for a, b in zip(shipped, plain):
         assert a.read_bytes() == b.read_bytes(), a.name

@@ -196,6 +196,15 @@ def test_rules_reject_bad_pattern():
         EntityRuleSet.from_lines(["number\t[unclosed"])
 
 
+@pytest.mark.parametrize(
+    "pattern", ["a{99999999999}", "(" * 600 + ")" * 600], ids=["huge-repeat", "deep-nesting"]
+)
+def test_rules_reject_pattern_re_cannot_compile(pattern):
+    # re.compile raises OverflowError and RecursionError here, not re.error
+    with pytest.raises(ValueError, match="bad pattern"):
+        EntityRuleSet.from_lines(["number\t" + pattern])
+
+
 def test_rules_reject_missing_tab():
     with pytest.raises(ValueError, match="expected"):
         EntityRuleSet.from_lines(["number \\d+"])
