@@ -216,13 +216,13 @@ def train(kind, vectors, labels, hp: Hyperparams | None = None) -> TrainedModel:
         raise ValueError("need at least two training examples")
     fingerprint = vectors[0].vocab_fingerprint
     dim = vectors[0].dim
-    has_length = vectors[0].length_feature is not None
+    has_length = vectors[0].has_length
     for i, v in enumerate(vectors):
         if v.vocab_fingerprint != fingerprint:
             raise ValueError(f"vector {i} was built from a different vocabulary")
         if v.dim != dim:
             raise ValueError(f"vector {i} has dim {v.dim}, expected {dim}")
-        if (v.length_feature is not None) != has_length:
+        if v.has_length != has_length:
             raise ValueError(f"vector {i} disagrees about the length feature")
     spam_flags = [1 if lab is Label.SPAM else 0 for lab in labels]
     if sum(spam_flags) == 0 or sum(spam_flags) == len(labels):
@@ -267,7 +267,7 @@ def decision_score(model: TrainedModel, vector: FeatureVector) -> float:
             "vector was built from a different vocabulary than the model "
             f"(fingerprint {vector.vocab_fingerprint!r} != {model.vocab_fingerprint!r})"
         )
-    if (vector.length_feature is not None) != model.has_length:
+    if vector.has_length != model.has_length:
         raise ValueError("vector disagrees with the model about the length feature")
     if vector.n_slots != model.n_slots:
         raise ValueError(f"vector has {vector.n_slots} slots, model expects {model.n_slots}")
@@ -298,7 +298,7 @@ def _train_nb(vectors, spam_flags, alpha: float, n_slots: int) -> dict:
     for vec, flag in zip(vectors, spam_flags):
         docs[flag] += 1
         row = counts[flag]
-        for idx, val in vec.slot_items():
+        for idx, val in vec.weights.items():
             row[idx] += val
     total_docs = docs[1] + docs[0]
     log_prior = {}
@@ -320,7 +320,7 @@ def _score_nb(params: dict, vector: FeatureVector) -> float:
     ll = params["log_prior"]["ham"]
     like_s = params["log_likelihood"]["spam"]
     like_h = params["log_likelihood"]["ham"]
-    for idx, val in vector.slot_items():
+    for idx, val in vector.weights.items():
         ls += val * like_s[idx]
         ll += val * like_h[idx]
     return _sigmoid(ls - ll)  # posterior spam probability
@@ -346,12 +346,7 @@ def _train_linear(vectors, spam_flags, n_slots: int, hp: Hyperparams, loss: str)
     inlined with its two branches unchanged.
     """
     lam = hp.reg_lambda
-    idxs = []
-    vals = []
-    for vec in vectors:
-        items = vec.slot_items()
-        idxs.append(tuple(i for i, _ in items))
-        vals.append(tuple(x for _, x in items))
+    rows = [vec.weights for vec in vectors]
     ys = [1.0 if f else -1.0 for f in spam_flags]
     hinge = loss == "hinge"
     typical_w = math.sqrt(1.0 / math.sqrt(lam))
@@ -364,16 +359,15 @@ def _train_linear(vectors, spam_flags, n_slots: int, hp: Hyperparams, loss: str)
     bias = 0.0
     t = 0
     rng = random.Random(hp.seed)
-    order = list(range(len(idxs)))
+    order = list(range(len(rows)))
     for _ in range(hp.epochs):
         rng.shuffle(order)
         for r in order:
             t += 1
             eta = 1.0 / (lam * (t0 + t))
-            idx = idxs[r]
-            xs = vals[r]
+            row = rows[r]
             y = ys[r]
-            z = y * (scale * sum(map(mul, map(weight, idx), xs)) + bias)
+            z = y * (scale * sum(map(mul, map(weight, row), row.values())) + bias)
             scale *= 1.0 - eta * lam
             if hinge:
                 if not z < 1.0:
@@ -388,7 +382,7 @@ def _train_linear(vectors, spam_flags, n_slots: int, hp: Hyperparams, loss: str)
                 if g == 0.0:
                     continue
             coef = eta * y * g / scale
-            for i, x in zip(idx, xs):
+            for i, x in row.items():
                 v[i] += coef * x
             bias += eta * y * g
     return {"weights": [scale * w for w in v], "bias": bias}
@@ -396,7 +390,7 @@ def _train_linear(vectors, spam_flags, n_slots: int, hp: Hyperparams, loss: str)
 
 def _margin(params: dict, vector: FeatureVector) -> float:
     w = params["weights"]
-    return sum(w[i] * x for i, x in vector.slot_items()) + params["bias"]
+    return sum(w[i] * x for i, x in vector.weights.items()) + params["bias"]
 
 
 # -- CART decision tree --------------------------------------------------------
@@ -422,7 +416,7 @@ def _train_dt(vectors, spam_flags, max_depth: int) -> dict:
     The one exception would be a float 1.0 and an int beyond 2**53 in one
     feature, where the value-1 bucket's int key rounds differently.
     """
-    rows = [dict(vec.slot_items()) for vec in vectors]
+    rows = [vec.weights for vec in vectors]
     ones = [tuple(f for f, val in row.items() if val == 1) for row in rows]
     others = [tuple((f, val) for f, val in row.items() if val != 1) for row in rows]
     nodes: list[dict] = []
@@ -509,7 +503,7 @@ def _train_dt(vectors, spam_flags, max_depth: int) -> dict:
 
 def _score_dt(params: dict, vector: FeatureVector) -> float:
     nodes = params["nodes"]
-    values = dict(vector.slot_items())
+    values = vector.weights
     node = nodes[params["root"]]
     while "feature" in node:
         if values.get(node["feature"], 0.0) <= node["threshold"]:
@@ -523,7 +517,7 @@ def _score_dt(params: dict, vector: FeatureVector) -> float:
 
 
 def _train_knn(vectors, spam_flags, k: int) -> dict:
-    rows = [[[i, v] for i, v in vec.slot_items()] for vec in vectors]
+    rows = [[[i, v] for i, v in vec.weights.items()] for vec in vectors]
     norms = [math.sqrt(sum(v * v for _, v in row)) for row in rows]
     return {
         "k": k,
@@ -560,7 +554,7 @@ def _knn_neighbors(params: dict, vector: FeatureVector, postings=None) -> list[i
     go through sum() rather than a running total because sum() compensates
     from Python 3.12 on.
     """
-    items = vector.slot_items()
+    items = vector.weights.items()
     qn = math.sqrt(sum(v * v for _, v in items))
     n = len(params["rows"])
     k = min(params["k"], n)

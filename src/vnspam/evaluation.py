@@ -235,8 +235,8 @@ def run_grid(
     The corpus is normalized (NFC, entity tagging) once for each distinct
     ``(preprocess, nfc)`` pair among the configurations, before any fit, and
     that one pass serves every configuration and fold that shares it. With
-    jobs > 1 the configurations run in a process pool; results keep the grid
-    order either way.
+    jobs > 1 the configurations run in a pool of at most one process each;
+    results keep the grid order either way.
     """
     configs = list(configs)
     if jobs < 1:
@@ -254,7 +254,7 @@ def run_grid(
         tasks.append((corpus, folds, cfg, rules, normalized))
     if jobs == 1 or len(tasks) <= 1:
         return [_evaluate_one(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_evaluate_one, tasks))
 
 

@@ -58,38 +58,33 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Sparse vector over vocabulary slots, plus an optional dense length slot.
+    """Sparse row over vocabulary slots, plus an optional length slot.
 
-    weights holds only nonzero entries, keyed by vocabulary index. The length
-    feature, when present, logically occupies one extra slot at index dim.
+    weights maps each nonzero slot to its value in strictly ascending index
+    order; every learner reads it in that order as it stands. With has_length
+    the row has one more slot, at index dim, last in weights when nonzero.
     """
 
     weights: dict[int, float]
     dim: int
-    length_feature: float | None = None
+    has_length: bool = False
     vocab_fingerprint: str | None = None
 
     def __post_init__(self):
+        end = self.n_slots
+        prev = -1
         for idx, w in self.weights.items():
-            if not 0 <= idx < self.dim:
-                raise ValueError(f"feature index {idx} out of range for dim {self.dim}")
+            if not prev < idx < end:
+                raise ValueError(f"feature index {idx} out of order or out of range for {end} slots")
             if w == 0:
                 raise ValueError(f"zero weight stored at index {idx}")
             if not math.isfinite(w):
                 raise ValueError(f"non-finite weight {w!r} stored at index {idx}")
-        if self.length_feature is not None and not math.isfinite(self.length_feature):
-            raise ValueError(f"non-finite length feature {self.length_feature!r} at index {self.dim}")
+            prev = idx
 
     @property
     def n_slots(self) -> int:
-        return self.dim + (1 if self.length_feature is not None else 0)
-
-    def slot_items(self) -> list[tuple[int, float]]:
-        """(index, value) pairs in index order, length slot last."""
-        items = sorted(self.weights.items())
-        if self.length_feature is not None and self.length_feature != 0:
-            items.append((self.dim, self.length_feature))
-        return items
+        return self.dim + (1 if self.has_length else 0)
 
 
 def build_vocabulary(docs, min_df: int = 1) -> Vocabulary:
@@ -111,10 +106,9 @@ def build_vocabulary(docs, min_df: int = 1) -> Vocabulary:
 
 def vectorize_bow(doc, vocab: Vocabulary) -> FeatureVector:
     """Raw term counts. Out-of-vocabulary tokens are dropped."""
-    counts = Counter(tok for tok in doc if tok in vocab.index)
-    weights = {vocab.index[t]: c for t, c in counts.items()}
+    counts = Counter(vocab.index[tok] for tok in doc if tok in vocab.index)
     return FeatureVector(
-        weights=weights, dim=len(vocab), vocab_fingerprint=vocab.fingerprint
+        weights=dict(sorted(counts.items())), dim=len(vocab), vocab_fingerprint=vocab.fingerprint
     )
 
 
@@ -123,22 +117,22 @@ def vectorize_tfidf(doc, vocab: Vocabulary) -> FeatureVector:
 
     Terms present in every fitting document get weight zero and are omitted.
     """
-    counts = Counter(tok for tok in doc if tok in vocab.index)
+    counts = Counter(vocab.index[tok] for tok in doc if tok in vocab.index)
     weights = {}
-    for t, c in counts.items():
-        if vocab.doc_freq[t] == vocab.num_docs:
-            continue
-        weights[vocab.index[t]] = c * math.log(vocab.num_docs / vocab.doc_freq[t])
+    for i, c in sorted(counts.items()):
+        df = vocab.doc_freq[vocab.terms[i]]
+        if df != vocab.num_docs:
+            weights[i] = c * math.log(vocab.num_docs / df)
     return FeatureVector(
         weights=weights, dim=len(vocab), vocab_fingerprint=vocab.fingerprint
     )
 
 
 def append_length(vector: FeatureVector, raw_text: str) -> FeatureVector:
-    """Return a copy with the message length, in SMS capacities, as one extra slot."""
+    """Return a copy with the message length, in SMS capacities, at slot dim."""
+    weights = dict(vector.weights)
+    if raw_text:  # a zero length is not stored
+        weights[vector.dim] = len(raw_text) / SMS_CAPACITY
     return FeatureVector(
-        weights=dict(vector.weights),
-        dim=vector.dim,
-        length_feature=len(raw_text) / SMS_CAPACITY,
-        vocab_fingerprint=vector.vocab_fingerprint,
+        weights=weights, dim=vector.dim, has_length=True, vocab_fingerprint=vector.vocab_fingerprint
     )

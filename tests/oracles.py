@@ -12,6 +12,8 @@ import json
 import math
 import random
 import re
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import nsmallest
 
@@ -122,7 +124,7 @@ def knn_full_scan(params, vector) -> list[int]:
     entry of every training row is multiplied by the query's value for its
     slot (0.0 when the query lacks it), with the same float operations in the
     same order as the package's original code."""
-    q = dict(vector.slot_items())
+    q = vector.weights
     qn = math.sqrt(sum(v * v for v in q.values()))
     k = min(params["k"], len(params["rows"]))
     scored = []
@@ -192,7 +194,7 @@ def _sigmoid(a: float) -> float:
 def train_linear_plain(vectors, spam_flags, n_slots: int, hp, loss: str) -> dict:
     """svm/lr subgradient descent with a generator sum per margin."""
     lam = hp.reg_lambda
-    rows = [vec.slot_items() for vec in vectors]
+    rows = [list(vec.weights.items()) for vec in vectors]
     ys = [1.0 if f else -1.0 for f in spam_flags]
     typical_w = math.sqrt(1.0 / math.sqrt(lam))
     dloss0 = 1.0 if loss == "hinge" else _sigmoid(typical_w)
@@ -226,7 +228,7 @@ def train_linear_plain(vectors, spam_flags, n_slots: int, hp, loss: str) -> dict
 
 def train_dt_plain(vectors, spam_flags, max_depth: int) -> dict:
     """CART that buckets every stored entry of every row at each node."""
-    rows = [dict(vec.slot_items()) for vec in vectors]
+    rows = [vec.weights for vec in vectors]
     nodes: list[dict] = []
 
     def leaf(idxs) -> int:
@@ -325,6 +327,85 @@ def tag_entities_per_char(text: str, rules, groups) -> str:
             out.append(" ")
     s = mark_re.sub(r" <\1> ", "".join(out))
     return " ".join(s.split())
+
+
+# -- the row form the one sorted weights dict replaced --------------------------
+# Verbatim copies of the package's FeatureVector and vectorizers from before
+# the length slot moved into weights; only names changed. The vocabulary is
+# passed in and read by duck typing.
+
+OLD_SMS_CAPACITY = 160
+
+
+@dataclass(frozen=True)
+class OldFeatureVector:
+    """Sparse vector over vocabulary slots, plus an optional dense length slot.
+
+    weights holds only nonzero entries, keyed by vocabulary index. The length
+    feature, when present, logically occupies one extra slot at index dim.
+    """
+
+    weights: dict[int, float]
+    dim: int
+    length_feature: float | None = None
+    vocab_fingerprint: str | None = None
+
+    def __post_init__(self):
+        for idx, w in self.weights.items():
+            if not 0 <= idx < self.dim:
+                raise ValueError(f"feature index {idx} out of range for dim {self.dim}")
+            if w == 0:
+                raise ValueError(f"zero weight stored at index {idx}")
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight {w!r} stored at index {idx}")
+        if self.length_feature is not None and not math.isfinite(self.length_feature):
+            raise ValueError(f"non-finite length feature {self.length_feature!r} at index {self.dim}")
+
+    @property
+    def n_slots(self) -> int:
+        return self.dim + (1 if self.length_feature is not None else 0)
+
+    def slot_items(self) -> list[tuple[int, float]]:
+        """(index, value) pairs in index order, length slot last."""
+        items = sorted(self.weights.items())
+        if self.length_feature is not None and self.length_feature != 0:
+            items.append((self.dim, self.length_feature))
+        return items
+
+
+def old_vectorize_bow(doc, vocab) -> OldFeatureVector:
+    """Raw term counts. Out-of-vocabulary tokens are dropped."""
+    counts = Counter(tok for tok in doc if tok in vocab.index)
+    weights = {vocab.index[t]: c for t, c in counts.items()}
+    return OldFeatureVector(
+        weights=weights, dim=len(vocab), vocab_fingerprint=vocab.fingerprint
+    )
+
+
+def old_vectorize_tfidf(doc, vocab) -> OldFeatureVector:
+    """Term count scaled by ln(num_docs / doc_freq), natural log, no smoothing.
+
+    Terms present in every fitting document get weight zero and are omitted.
+    """
+    counts = Counter(tok for tok in doc if tok in vocab.index)
+    weights = {}
+    for t, c in counts.items():
+        if vocab.doc_freq[t] == vocab.num_docs:
+            continue
+        weights[vocab.index[t]] = c * math.log(vocab.num_docs / vocab.doc_freq[t])
+    return OldFeatureVector(
+        weights=weights, dim=len(vocab), vocab_fingerprint=vocab.fingerprint
+    )
+
+
+def old_append_length(vector: OldFeatureVector, raw_text: str) -> OldFeatureVector:
+    """Return a copy with the message length, in SMS capacities, as one extra slot."""
+    return OldFeatureVector(
+        weights=dict(vector.weights),
+        dim=vector.dim,
+        length_feature=len(raw_text) / OLD_SMS_CAPACITY,
+        vocab_fingerprint=vector.vocab_fingerprint,
+    )
 
 
 # -- model-file JSON emitter ---------------------------------------------------

@@ -23,8 +23,13 @@ import oracles
 
 
 def fv(weights, dim, length=None, fp=None):
+    """A row in the package's form: slots in index order, then the length
+    at index dim unless it is None (no length slot) or zero (not stored)."""
+    weights = dict(sorted(weights.items()))
+    if length:
+        weights[dim] = length
     return FeatureVector(
-        weights=weights, dim=dim, length_feature=length, vocab_fingerprint=fp
+        weights=weights, dim=dim, has_length=length is not None, vocab_fingerprint=fp
     )
 
 

@@ -386,6 +386,45 @@ def test_dt_child_not_below_its_split_fails_to_load(saved_models, tmp_path, caps
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# -- fuzzed predict stdin --------------------------------------------------------
+
+# CR, NUL, NEL (U+0085), LINE SEPARATOR, a UTF-8-encoded lone surrogate,
+# invalid and cut-off UTF-8, and pieces the tagger and models react to.
+_STDIN_PIECES = st.sampled_from([
+    b"\r", b"\r\n", b"\n", b"\x00", "\u0085".encode(), "\u2028".encode(), b"\xed\xa0\x80",
+    b"\xff", b"\xc3", b"\xe1\xba", "khuyến mãi".encode(), b"[QC] 50k", b"0912345678",
+    b" ", b"\t", b"<phone>", b"www.shop.vn",
+])
+_STDIN = st.one_of(
+    st.lists(st.one_of(_STDIN_PIECES, st.binary(max_size=6)), max_size=12).map(b"".join),
+    st.binary(max_size=40),
+)
+
+
+@pytest.fixture(scope="module")
+def stdin_models(saved_models):
+    folder = saved_models["svm"].parent
+    baseline = folder / "baseline.json"
+    assert main(["train", str(folder / "corpus.tsv"), "-o", str(baseline), "--clf", "baseline"]) == 0
+    return {"baseline": baseline, "svm": saved_models["svm"], "knn": saved_models["knn"], "dt": saved_models["dt"]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_STDIN, kind=st.sampled_from(["baseline", "svm", "knn", "dt"]))
+def test_fuzzed_predict_stdin_answers_every_line(raw, kind, stdin_models):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["predict", str(stdin_models[kind])], stdin=io.BytesIO(raw))
+    lines = out.getvalue().split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == len(raw.split(b"\n")) - (1 if raw.endswith(b"\n") or not raw else 0)
+    assert rc == (3 if "ERR" in lines else 0)
+    for line in lines:
+        if line != "ERR":
+            label, score = line.split("\t")
+            assert label in ("spam", "ham") and math.isfinite(float(score))
+
+
 # -- fuzzed corpus and rule files ------------------------------------------------
 
 

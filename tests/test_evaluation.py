@@ -215,6 +215,36 @@ def test_run_grid_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_run_grid_starts_at_most_one_worker_per_config(small_corpus, monkeypatch):
+    # Under fork, ProcessPoolExecutor starts all max_workers processes up
+    # front, so a fake pool records the count and maps in this process.
+    from dataclasses import replace
+
+    from vnspam import evaluation
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+    folds = stratified_kfold(small_corpus, k=2)
+    grid = [replace(FAST, classifier="nb"), FAST]
+    reports = run_grid(small_corpus, folds, grid, jobs=64)
+    assert started == [2]
+    assert reports == run_grid(small_corpus, folds, grid, jobs=1)
+
+
 def test_run_grid_rejects_bad_jobs(small_corpus):
     folds = stratified_kfold(small_corpus, k=2)
     with pytest.raises(ValueError, match="jobs"):

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnspam import Label, train
 from vnspam.features import (
@@ -104,20 +106,71 @@ def test_vector_rejects_non_finite_weights(bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_vector_rejects_non_finite_length_feature(bad):
-    with pytest.raises(ValueError, match="non-finite length feature .* index 2"):
-        FeatureVector(weights={0: 1.0}, dim=2, length_feature=bad)
+    with pytest.raises(ValueError, match="non-finite weight .* index 2"):
+        FeatureVector(weights={0: 1.0, 2: bad}, dim=2, has_length=True)
 
 
 def test_slot_items_sorted_with_length_last():
-    vec = FeatureVector(weights={3: 1.0, 0: 2.0}, dim=5, length_feature=0.25)
-    assert vec.slot_items() == [(0, 2.0), (3, 1.0), (5, 0.25)]
+    vocab = build_vocabulary([["a", "b", "c", "d", "e"]], min_df=1)
+    vec = append_length(vectorize_bow(["d", "a", "a"], vocab), "x" * 40)
+    assert list(vec.weights.items()) == [(0, 2), (3, 1), (5, 0.25)]
     assert vec.n_slots == 6
 
 
 def test_zero_length_slot_is_omitted_from_items():
-    vec = FeatureVector(weights={}, dim=2, length_feature=0.0)
+    vec = append_length(FeatureVector(weights={}, dim=2), "")
     assert vec.n_slots == 3
-    assert vec.slot_items() == []
+    assert vec.weights == {}
+
+
+@pytest.mark.parametrize(
+    "weights,dim,has_length,match",
+    [
+        ({1: 1.0, 0: 2.0}, 3, False, "out of order"),
+        ({-1: 1.0}, 3, False, "out of range"),
+        ({3: 1.0}, 3, False, "out of range"),  # the length slot of a row without one
+        ({4: 1.0}, 3, True, "out of range"),
+        ({3: 0.5, 0: 1.0}, 3, True, "out of order"),
+        ({3: 0.0}, 3, True, "zero weight"),  # non-finite values: the two tests above
+    ],
+)
+def test_vector_rejects_rows_out_of_form(weights, dim, has_length, match):
+    with pytest.raises(ValueError, match=match):
+        FeatureVector(weights=weights, dim=dim, has_length=has_length)
+
+
+@st.composite
+def docs_and_vocabularies(draw):
+    """Fitting docs, with some terms in every doc, and one query document."""
+    terms = st.sampled_from("abcdefgh")
+    common = draw(st.lists(terms, max_size=2))
+    docs = [common + d for d in draw(st.lists(st.lists(terms, max_size=6), min_size=1, max_size=6))]
+    vocab = build_vocabulary(docs, min_df=draw(st.integers(1, 3)))
+    query = draw(st.lists(st.sampled_from("abcdefghz"), max_size=10))
+    text = draw(st.one_of(st.just(""), st.text(max_size=400)))
+    return vocab, query, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs_and_vocabularies(),
+    st.sampled_from(["bow", "tfidf"]),
+    st.booleans(),
+)
+def test_weights_are_the_old_slot_items(instance, rep, length):
+    vocab, query, text = instance
+    new_vectorize, old_vectorize = {
+        "bow": (vectorize_bow, oracles.old_vectorize_bow),
+        "tfidf": (vectorize_tfidf, oracles.old_vectorize_tfidf),
+    }[rep]
+    new = new_vectorize(query, vocab)
+    old = old_vectorize(query, vocab)
+    if length:
+        new = append_length(new, text)
+        old = oracles.old_append_length(old, text)
+    assert repr(list(new.weights.items())) == repr(old.slot_items())  # repr keeps int apart from float
+    assert new.n_slots == old.n_slots
+    assert new.has_length is length
 
 
 def test_bow_counts():
@@ -213,16 +266,16 @@ def test_tfidf_matches_independent_oracle():
 
 def test_length_feature_anchors():
     base = FeatureVector(weights={}, dim=1)
-    assert append_length(base, "x" * SMS_CAPACITY).length_feature == 1.0
-    assert append_length(base, "x" * 80).length_feature == 0.5
-    assert append_length(base, "x" * 320).length_feature == 2.0  # no clamping
+    assert append_length(base, "x" * SMS_CAPACITY).weights[1] == 1.0
+    assert append_length(base, "x" * 80).weights[1] == 0.5
+    assert append_length(base, "x" * 320).weights[1] == 2.0  # no clamping
 
 
 def test_length_feature_keeps_weights():
     vocab = build_vocabulary([["a"], ["b"]], min_df=1)
     vec = vectorize_bow(["a"], vocab)
     out = append_length(vec, "hello")
-    assert out.weights == vec.weights
-    assert out.length_feature == pytest.approx(5 / 160)
+    assert {i: w for i, w in out.weights.items() if i < vec.dim} == vec.weights
+    assert out.weights[vec.dim] == pytest.approx(5 / 160)
     assert out.vocab_fingerprint == vec.vocab_fingerprint
     assert out.n_slots == vec.n_slots + 1
