@@ -32,6 +32,7 @@ __all__ = [
     "train",
     "predict",
     "decision_score",
+    "epoch_orders",
 ]
 
 KINDS = ("baseline", "nb", "svm", "lr", "dt", "knn")
@@ -191,13 +192,18 @@ def rule_baseline(raw_text: str) -> Prediction:
     return Prediction(label=Label.LEGITIMATE, score=0.0)
 
 
-def train(kind, vectors, labels, hp: Hyperparams | None = None) -> TrainedModel:
+def train(kind, vectors, labels, hp: Hyperparams | None = None, orders=None) -> TrainedModel:
     """Fit one classifier of the given kind.
 
     Vectors must all come from the same vocabulary (same fingerprint, same
     dimension, length feature either on everywhere or off everywhere) and both
     classes must be present. The baseline kind has no trainable state and
     accepts empty inputs.
+
+    ``orders`` may hold svm/lr's row visiting orders, one sequence per epoch,
+    as materialized from ``epoch_orders(hp.seed, len(vectors), hp.epochs)``
+    by a caller that fits several models on the same rows; by default the
+    learner shuffles them itself.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown classifier kind {kind!r} (expected one of {KINDS})")
@@ -227,14 +233,19 @@ def train(kind, vectors, labels, hp: Hyperparams | None = None) -> TrainedModel:
     spam_flags = [1 if lab is Label.SPAM else 0 for lab in labels]
     if sum(spam_flags) == 0 or sum(spam_flags) == len(labels):
         raise ValueError("training data must contain both classes")
+    if orders is not None:
+        if kind not in ("svm", "lr"):
+            raise ValueError(f"{kind} has no visiting orders")
+        if len(orders) != hp.epochs or any(len(o) != len(vectors) for o in orders):
+            raise ValueError(f"need {hp.epochs} visiting orders of {len(vectors)} rows each")
 
     n_slots = dim + (1 if has_length else 0)
     if kind == "nb":
         params = _train_nb(vectors, spam_flags, hp.alpha, n_slots)
     elif kind == "svm":
-        params = _train_linear(vectors, spam_flags, n_slots, hp, loss="hinge")
+        params = _train_linear(vectors, spam_flags, n_slots, hp, "hinge", orders)
     elif kind == "lr":
-        params = _train_linear(vectors, spam_flags, n_slots, hp, loss="logistic")
+        params = _train_linear(vectors, spam_flags, n_slots, hp, "logistic", orders)
     elif kind == "dt":
         params = _train_dt(vectors, spam_flags, hp.max_depth)
     else:
@@ -329,7 +340,20 @@ def _score_nb(params: dict, vector: FeatureVector) -> float:
 # -- linear models (svm hinge / logistic regression) --------------------------
 
 
-def _train_linear(vectors, spam_flags, n_slots: int, hp: Hyperparams, loss: str) -> dict:
+def epoch_orders(seed: int, n: int, epochs: int):
+    """svm/lr's row visiting order for each epoch: one list of range(n),
+    shuffled again by one seeded generator and yielded in place, so a caller
+    that keeps an order must copy it."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        yield order
+
+
+def _train_linear(
+    vectors, spam_flags, n_slots: int, hp: Hyperparams, loss: str, orders=None
+) -> dict:
     """Deterministic subgradient descent on the L2-regularized loss with the
     1/(lambda*(t0+t)) step schedule.
 
@@ -344,6 +368,9 @@ def _train_linear(vectors, spam_flags, n_slots: int, hp: Hyperparams, loss: str)
     same order into one sum(), which keeps them equal on Python 3.12+ too,
     where sum() is compensated, and the logistic gradient is _sigmoid(-z)
     inlined with its two branches unchanged.
+
+    Each epoch visits the rows in the next of ``orders``, by default
+    ``epoch_orders(hp.seed, len(vectors), hp.epochs)``.
     """
     lam = hp.reg_lambda
     rows = [vec.weights for vec in vectors]
@@ -358,10 +385,9 @@ def _train_linear(vectors, spam_flags, n_slots: int, hp: Hyperparams, loss: str)
     scale = 1.0
     bias = 0.0
     t = 0
-    rng = random.Random(hp.seed)
-    order = list(range(len(rows)))
-    for _ in range(hp.epochs):
-        rng.shuffle(order)
+    if orders is None:
+        orders = epoch_orders(hp.seed, len(rows), hp.epochs)
+    for order in orders:
         for r in order:
             t += 1
             eta = 1.0 / (lam * (t0 + t))

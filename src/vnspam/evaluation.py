@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .classifiers import epoch_orders, predict, rule_baseline, train
 from .corpus import Corpus, FoldAssignment, Label
-from .pipeline import FittedPipeline, Normalized, PipelineConfig, normalize
-from .preprocess import EntityRuleSet
+from .features import build_vocabulary
+from .pipeline import (
+    FittedPipeline,
+    Normalized,
+    PipelineConfig,
+    _featurize,
+    fit_segmentation,
+    normalize,
+)
+from .preprocess import EntityRuleSet, segment
 
 __all__ = [
     "ConfusionCounts",
@@ -145,15 +155,16 @@ def cross_validate(
     folds: FoldAssignment,
     config: PipelineConfig | None = None,
     rules: EntityRuleSet | None = None,
-    normalized: list[Normalized] | None = None,
+    plan: _Plan | None = None,
 ) -> EvalReport:
     """Fit on k-1 folds and score the held-out fold, for every fold.
 
     All fitted state (collocations, vocabulary, classifier) comes from the
     training folds only. Every held-out fold must contain both classes so its
-    rates are defined. Each message is normalized once for all folds;
-    ``normalized`` may carry that pass, one entry per corpus message in
-    corpus order, when the caller shares it across configurations.
+    rates are defined. Each message is normalized once for all folds, and each
+    segment fit, vocabulary and svm/lr visiting order is built once for all
+    the folds that read it. ``plan`` may carry those stage outputs when the
+    caller shares them across configurations, as ``run_grid`` does.
     """
     config = config or PipelineConfig()
     config.validate()
@@ -163,10 +174,10 @@ def cross_validate(
     if folds.k < 2:
         raise ValueError("need at least two folds")
     rules = rules or EntityRuleSet.default()
-    if normalized is None:
-        normalized = _normalize_corpus(corpus, config, rules)
-    elif len(normalized) != len(corpus.messages):
-        raise ValueError(f"{len(normalized)} normalized messages for a corpus of {len(corpus)}")
+    plan = plan or _Plan(folds, [config])
+    normalized = plan.get(
+        _normalize_key(config), lambda: _normalize_corpus(corpus, config, rules)
+    )
 
     outcomes = []
     for f in range(folds.k):
@@ -176,23 +187,100 @@ def cross_validate(
         gold = [corpus.messages[i].label for i in test]
         if Label.SPAM not in gold or Label.LEGITIMATE not in gold:
             raise ValueError(f"fold {f} does not contain both classes")
-        fitted = FittedPipeline.fit(
-            [corpus.messages[i] for i in training],
-            config,
-            rules,
-            normalized=[normalized[i] for i in training],
-        )
-        predicted = [
-            fitted.predict_text(corpus.messages[i].text, normalized[i]).label for i in test
-        ]
+        if config.classifier == "baseline":
+            predicted = [rule_baseline(normalized[i].text).label for i in test]
+        else:
+            labels = [corpus.messages[i].label for i in training]
+            if any(lab is None for lab in labels):
+                raise ValueError("cannot train on unlabeled messages")
+            predicted = _fit_fold(f, training, labels, test, normalized, config, plan)
         counts = confusion(gold, predicted)
         outcomes.append(FoldOutcome(fold=str(f), counts=counts, rates=rates(counts)))
     return _report(config.name, outcomes)
 
 
+def _fit_fold(fold, training, labels, test, normalized, config, plan) -> list[Label]:
+    """Fit every stage on the ``training`` rows and label the ``test`` rows;
+    the stages are those of ``FittedPipeline.fit`` and ``predict_text``."""
+    segment_key, vocab_key, orders_key = _stage_keys(config, fold, len(training))
+    streams = [normalized[i].tokens for i in training]
+    collocations = []
+    if segment_key is not None:
+        collocations = plan.get(segment_key, lambda: fit_segmentation(streams, config)[0])
+        streams = [_segmented(s, collocations) for s in streams]
+    vocab = plan.get(vocab_key, lambda: build_vocabulary(streams, min_df=config.min_df))
+    vectors = [
+        _featurize(s, normalized[i].text, vocab, config) for s, i in zip(streams, training)
+    ]
+    # Let the learner reuse the token streams' memory.
+    del streams
+    orders = None
+    if orders_key is not None:
+        orders = plan.get(orders_key, lambda: list(map(tuple, epoch_orders(*orders_key[1:]))))
+    model = train(config.classifier, vectors, labels, config.hyperparams(), orders)
+    del vectors
+    predicted = []
+    for i in test:
+        norm = normalized[i]
+        vec = _featurize(_segmented(norm.tokens, collocations), norm.text, vocab, config)
+        predicted.append(predict(model, vec).label)
+    return predicted
+
+
+def _segmented(stream: list[str], collocations) -> list[str]:
+    for cm in collocations:
+        stream = segment(stream, cm)
+    return stream
+
+
+def _normalize_key(config: PipelineConfig) -> tuple:
+    return ("normalize", config.preprocess, config.nfc)
+
+
+def _stage_keys(config: PipelineConfig, fold: int, n_train: int) -> tuple:
+    """The segment fit, vocabulary and visiting-order keys of one fold fit:
+    the fold and every config field the stage reads. A stage the fit skips
+    has key None."""
+    c = config
+    fit = (fold, c.preprocess, c.nfc, c.discount, c.min_count, c.colloc_threshold, c.passes)
+    segment_key = ("segment", *fit) if c.preprocess else None
+    orders_key = ("orders", c.seed, n_train, c.epochs) if c.classifier in ("svm", "lr") else None
+    return segment_key, ("vocabulary", *fit, c.min_df), orders_key
+
+
+class _Plan:
+    """Stage outputs that the (config, fold) fits of one run share.
+
+    Before any fit it counts the readers of each key. ``get`` builds an entry
+    on its first read, keeps it while readers remain and drops it after the
+    last one, so an entry with one reader is never kept. Training data cannot
+    leak across folds: every entry fitted on training rows has the fold in
+    its key.
+    """
+
+    def __init__(self, folds: FoldAssignment, configs):
+        sizes = folds.fold_sizes()
+        self.readers: Counter = Counter()
+        self.kept: dict = {}
+        for cfg in configs:
+            self.readers[_normalize_key(cfg)] += 1
+            if cfg.classifier != "baseline":
+                for f in range(folds.k):
+                    keys = _stage_keys(cfg, f, len(folds.fold_of) - sizes[f])
+                    self.readers.update(k for k in keys if k is not None)
+
+    def get(self, key, build):
+        left = self.readers.pop(key, 1) - 1
+        value = self.kept.pop(key) if key in self.kept else build()
+        if left > 0:
+            self.readers[key] = left
+            self.kept[key] = value
+        return value
+
+
 def _normalize_corpus(corpus: Corpus, config: PipelineConfig, rules) -> list[Normalized]:
-    # The streams live for the whole run; one str per distinct token keeps
-    # them about as small as the corpus text.
+    # The streams live until their last configuration; one str per distinct
+    # token keeps them about as small as the corpus text.
     shared: dict[str, str] = {}
     out = []
     for m in corpus.messages:
@@ -217,10 +305,10 @@ def evaluate_baseline(corpus: Corpus, config: PipelineConfig | None = None) -> E
 
 
 def _evaluate_one(args) -> EvalReport:
-    corpus, folds, config, rules, normalized = args
+    corpus, folds, config, rules, plan = args
     if config.classifier == "baseline":
         return evaluate_baseline(corpus, config)
-    return cross_validate(corpus, folds, config, rules, normalized)
+    return cross_validate(corpus, folds, config, rules, plan)
 
 
 def run_grid(
@@ -235,24 +323,33 @@ def run_grid(
     The corpus is normalized (NFC, entity tagging) once for each distinct
     ``(preprocess, nfc)`` pair among the configurations, before any fit, and
     that one pass serves every configuration and fold that shares it. With
-    jobs > 1 the configurations run in a pool of at most one process each;
+    jobs = 1 each fold's segment fit and vocabulary, and each svm/lr visiting
+    order, is also built once for every configuration that reads it, and
+    dropped after the last one. With jobs > 1 the configurations run in a
+    pool of at most one process each, and each shares only within itself;
     results keep the grid order either way.
     """
     configs = list(configs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     rules = rules or EntityRuleSet.default()
-    shared: dict[tuple[bool, bool], list[Normalized]] = {}
+    pooled = jobs > 1 and len(configs) > 1
+    trained = [cfg for cfg in configs if cfg.classifier != "baseline"]
+    shared = None if pooled else _Plan(folds, trained)
+    passes: dict[tuple, list[Normalized]] = {}
     tasks = []
     for cfg in configs:
-        normalized = None
+        plan = None
         if cfg.classifier != "baseline":
-            key = (cfg.preprocess, cfg.nfc)
-            if key not in shared:
-                shared[key] = _normalize_corpus(corpus, cfg, rules)
-            normalized = shared[key]
-        tasks.append((corpus, folds, cfg, rules, normalized))
-    if jobs == 1 or len(tasks) <= 1:
+            plan = _Plan(folds, [cfg]) if pooled else shared
+            key = _normalize_key(cfg)
+            if key not in passes:
+                passes[key] = _normalize_corpus(corpus, cfg, rules)
+            plan.kept[key] = passes[key]
+        tasks.append((corpus, folds, cfg, rules, plan))
+    # From here on only the plans hold the passes, so each goes with its last reader.
+    del passes, shared
+    if not pooled:
         return [_evaluate_one(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_evaluate_one, tasks))

@@ -231,14 +231,8 @@ class FittedPipeline:
         messages,
         config: PipelineConfig | None = None,
         rules: EntityRuleSet | None = None,
-        normalized: list[Normalized] | None = None,
     ) -> "FittedPipeline":
-        """Fit every stage on labeled messages.
-
-        ``normalized`` may hold ``normalize(m.text, config, rules)`` for each
-        message, computed once by a caller that fits many pipelines on the
-        same messages; it is then used instead of normalizing again.
-        """
+        """Fit every stage on labeled messages."""
         config = config or PipelineConfig()
         config.validate()
         rules = rules or EntityRuleSet.default()
@@ -254,12 +248,7 @@ class FittedPipeline:
         labels = [m.label for m in messages]
         if any(lab is None for lab in labels):
             raise ValueError("cannot train on unlabeled messages")
-        if normalized is None:
-            normalized = [normalize(m.text, config, rules) for m in messages]
-        elif len(normalized) != len(messages):
-            raise ValueError(
-                f"{len(normalized)} normalized messages for {len(messages)} messages"
-            )
+        normalized = [normalize(m.text, config, rules) for m in messages]
         texts = [n.text for n in normalized]
         streams = [n.tokens for n in normalized]
 
@@ -272,7 +261,7 @@ class FittedPipeline:
         vocab = build_vocabulary(streams, min_df=config.min_df)
         vectors = [_featurize(s, t, vocab, config) for s, t in zip(streams, texts)]
         stats = FitStats(len(texts), raw_terms, preprocessed_terms, len(vocab))
-        # Let the learner reuse the token streams' memory; a caller's list stays.
+        # Let the learner reuse the token streams' memory.
         del normalized, texts, streams
         model = train(config.classifier, vectors, labels, config.hyperparams())
         return cls(config, rules, collocations, vocab, model, stats)
@@ -289,24 +278,16 @@ class FittedPipeline:
         return stream
 
     def vector(self, text: str) -> FeatureVector:
-        return self._vector(normalize(text, self.config, self.rules))
-
-    def _vector(self, norm: Normalized) -> FeatureVector:
         if self.vocab is None:
             raise ValueError("the rule baseline has no feature space")
+        norm = normalize(text, self.config, self.rules)
         return _featurize(self._segment(norm.tokens), norm.text, self.vocab, self.config)
 
-    def predict_text(self, text: str, normalized: Normalized | None = None) -> Prediction:
-        """Label one raw message.
-
-        ``normalized`` may hold ``normalize(text, self.config, self.rules)``,
-        computed once by the caller; the rule baseline reads only the text.
-        """
+    def predict_text(self, text: str) -> Prediction:
+        """Label one raw message."""
         if self.config.classifier == "baseline":
             return rule_baseline(_nfc(text, self.config))
-        if normalized is None:
-            normalized = normalize(text, self.config, self.rules)
-        return predict(self.model, self._vector(normalized))
+        return predict(self.model, self.vector(text))
 
     # -- persistence -----------------------------------------------------
 

@@ -13,6 +13,7 @@ from vnspam.classifiers import (
     Hyperparams,
     TrainedModel,
     decision_score,
+    epoch_orders,
     predict,
     rule_baseline,
     train,
@@ -626,3 +627,25 @@ def test_dt_fit_matches_plain_loop(instance):
     rows, flags, max_depth = instance
     got = _train_dt(rows, flags, max_depth)
     assert repr(got) == repr(oracles.train_dt_plain(rows, flags, max_depth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_instances(), st.sampled_from(["svm", "lr"]))
+def test_precomputed_orders_train_the_same_params(instance, kind):
+    rows, flags, _, hp = instance
+    orders = [list(o) for o in epoch_orders(hp.seed, len(rows), hp.epochs)]
+    got = train(kind, rows, labels(flags), hp, orders=orders)
+    assert repr(got.params) == repr(train(kind, rows, labels(flags), hp).params)
+
+
+def test_orders_of_the_wrong_shape_are_refused():
+    rows = [fv({0: 1}, 2), fv({1: 1}, 2), fv({0: 2}, 2)]
+    labs = labels([1, 0, 1])
+    hp = Hyperparams(epochs=2)
+    good = [list(o) for o in epoch_orders(hp.seed, 3, 2)]
+    train("svm", rows, labs, hp, orders=good)
+    for bad in ([good[0]], good + [good[0]], [good[0], good[1][:2]], [good[0], good[1] + [0]]):
+        with pytest.raises(ValueError, match="visiting orders"):
+            train("svm", rows, labs, hp, orders=bad)
+    with pytest.raises(ValueError, match="no visiting orders"):
+        train("nb", rows, labs, hp, orders=good)

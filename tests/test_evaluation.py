@@ -332,25 +332,29 @@ def test_write_csv_one_row_per_fold_plus_average(tmp_path):
 # -- one normalize pass per run, against fitting every fold from raw text -----------
 
 
+def _unshared_cross_validate(corpus, folds, cfg, rules=None):
+    """cross_validate with no shared work: FittedPipeline.fit on the raw
+    training messages of every fold, then predict_text on each held-out
+    message."""
+    outcomes = []
+    for f in range(folds.k):
+        test = [m for m in corpus.messages if folds.fold_of[m.id] == f]
+        training = [m for m in corpus.messages if folds.fold_of[m.id] != f]
+        fitted = FittedPipeline.fit(training, cfg, rules)
+        predicted = [fitted.predict_text(m.text).label for m in test]
+        counts = confusion([m.label for m in test], predicted)
+        outcomes.append(FoldOutcome(fold=str(f), counts=counts, rates=rates(counts)))
+    return _report(cfg.name, outcomes)
+
+
 def _unshared_grid(corpus, folds, configs, rules=None):
-    """The evaluation loop with no shared work: FittedPipeline.fit on the raw
-    training messages of every config and fold, then predict_text on each
-    held-out message."""
-    reports = []
-    for cfg in configs:
-        if cfg.classifier == "baseline":
-            reports.append(evaluate_baseline(corpus, cfg))
-            continue
-        outcomes = []
-        for f in range(folds.k):
-            test = [m for m in corpus.messages if folds.fold_of[m.id] == f]
-            training = [m for m in corpus.messages if folds.fold_of[m.id] != f]
-            fitted = FittedPipeline.fit(training, cfg, rules)
-            predicted = [fitted.predict_text(m.text).label for m in test]
-            counts = confusion([m.label for m in test], predicted)
-            outcomes.append(FoldOutcome(fold=str(f), counts=counts, rates=rates(counts)))
-        reports.append(_report(cfg.name, outcomes))
-    return reports
+    """The evaluation loop with no shared work, config by config."""
+    return [
+        evaluate_baseline(corpus, cfg)
+        if cfg.classifier == "baseline"
+        else _unshared_cross_validate(corpus, folds, cfg, rules)
+        for cfg in configs
+    ]
 
 
 def _decomposed(corpus):
@@ -364,7 +368,9 @@ def _decomposed(corpus):
     )
 
 
-@pytest.mark.parametrize("case", ["jobs1", "jobs2", "nfc", "rules"])
+@pytest.mark.parametrize(
+    "case", ["jobs1", "jobs2", "nfc", "rules", "passes2", "min_df", "seed_epochs"]
+)
 def test_run_grid_matches_unshared_loop(case, tmp_path):
     from dataclasses import replace
 
@@ -381,6 +387,31 @@ def test_run_grid_matches_unshared_loop(case, tmp_path):
         rules = EntityRuleSet.from_file(path)
     folds = stratified_kfold(corpus, k=5)
     configs = reference_grid(base)
+    if case == "passes2":
+        # loose enough that the second pass changes dt's rates
+        loose = replace(base, passes=2, min_count=2, discount=1.0, colloc_threshold=1e-5)
+        configs = reference_grid(loose)
+        configs.append(replace(configs[6], passes=1))
+    if case == "min_df":
+        # one segment fit per fold, three vocabularies
+        plain = replace(base, min_df=1, length_feature=False)
+        configs = [
+            replace(plain, classifier="nb"),
+            replace(plain, min_df=2),
+            replace(plain, classifier="nb", min_df=4),
+            replace(plain, min_df=2, representation="tfidf"),
+        ]
+    if case == "seed_epochs":
+        # svm orders shared by seed, lr orders kept apart by epochs; one svm
+        # epoch at this lambda makes the rates depend on the order
+        svm = replace(base, epochs=1, reg_lambda=1e-2)
+        configs = [
+            replace(svm, seed=1),
+            replace(svm, seed=2),
+            replace(svm, seed=1, length_feature=False),
+            replace(base, classifier="lr", epochs=2),
+            replace(base, classifier="lr"),
+        ]
     jobs = 2 if case == "jobs2" else 1
     write_csv(run_grid(corpus, folds, configs, rules, jobs=jobs), tmp_path / "shared.csv")
     write_csv(_unshared_grid(corpus, folds, configs, rules), tmp_path / "unshared.csv")
@@ -406,3 +437,54 @@ def test_evaluation_tags_each_message_once_per_run(small_corpus, monkeypatch):
     calls.clear()
     cross_validate(small_corpus, folds, FAST)
     assert len(calls) == len(small_corpus)
+
+
+def test_cross_validate_baseline_matches_unshared_loop():
+    from dataclasses import replace
+
+    corpus = _decomposed(synth_corpus(150, seed=5, tag_spam=True))
+    folds = stratified_kfold(corpus, k=3)
+    cfg = replace(PipelineConfig(nfc=True), classifier="baseline")
+    report = cross_validate(corpus, folds, cfg)
+    assert report == _unshared_cross_validate(corpus, folds, cfg)
+    assert len(report.per_fold) == 3
+
+
+def test_run_grid_builds_each_shared_stage_once_and_keeps_nothing(monkeypatch):
+    from collections import Counter
+    from dataclasses import replace
+
+    from vnspam import classifiers, evaluation
+
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    plans = []
+
+    class RecordingPlan(evaluation._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    segment = counting("segment", evaluation.fit_segmentation)
+    vocabulary = counting("vocabulary", evaluation.build_vocabulary)
+    orders = counting("orders", classifiers.epoch_orders)
+    monkeypatch.setattr(evaluation, "fit_segmentation", segment)
+    monkeypatch.setattr(evaluation, "build_vocabulary", vocabulary)
+    monkeypatch.setattr(evaluation, "epoch_orders", orders)
+    monkeypatch.setattr(classifiers, "epoch_orders", orders)
+    monkeypatch.setattr(evaluation, "_Plan", RecordingPlan)
+    corpus = synth_corpus(203, seed=11)
+    folds = stratified_kfold(corpus, k=5)
+    sizes = {len(corpus) - n for n in folds.fold_sizes()}
+    assert len(sizes) > 1  # so the orders key must tell training sizes apart
+    run_grid(corpus, folds, reference_grid(PipelineConfig(epochs=2)))
+    assert calls == {"segment": 5, "vocabulary": 15, "orders": len(sizes)}
+    assert len(plans) == 1
+    assert plans[0].kept == {} and not plans[0].readers

@@ -339,6 +339,11 @@ def _tag_entities_per_char(text, rules=None):
     return oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
 
 
+def _train_linear_plain(vectors, spam_flags, n_slots, hp, loss, orders):
+    assert orders is None  # FittedPipeline.fit leaves the visiting orders to the learner
+    return oracles.train_linear_plain(vectors, spam_flags, n_slots, hp, loss)
+
+
 def test_fast_fit_path_writes_the_plain_loops_bytes(tmp_path, monkeypatch):
     messages = synth_corpus(300, seed=17, tag_spam=True).messages
     configs = [
@@ -360,7 +365,7 @@ def test_fast_fit_path_writes_the_plain_loops_bytes(tmp_path, monkeypatch):
         return paths
 
     shipped = save_all("shipped")
-    monkeypatch.setattr(classifiers, "_train_linear", oracles.train_linear_plain)
+    monkeypatch.setattr(classifiers, "_train_linear", _train_linear_plain)
     monkeypatch.setattr(classifiers, "_train_dt", oracles.train_dt_plain)
     monkeypatch.setattr(preprocess, "tag_entities", _tag_entities_per_char)
     monkeypatch.setattr(pipeline, "tag_entities", _tag_entities_per_char)
