@@ -1,0 +1,107 @@
+"""Golden digests: model file bytes and grid rates, pinned across commits.
+
+Fits a fixed config matrix on ``synth_corpus(400, seed=7)``: 5 kinds x
+bow/tfidf x length on/off x preprocess on/off, plus ``passes=2`` with
+preprocess on (60 configs). Each model is saved, and its digest covers the
+file's bytes and the ``repr`` of ``predict_text`` on a few held-out texts.
+The ``rates.csv`` of a small reference grid is hashed too.
+
+Model digests come in two families, because ``sum()`` is compensated from
+Python 3.12 on; the grid digest is the same on every supported version.
+A change that keeps bytes never regenerates the table. A change that moves
+bytes on purpose regenerates both families and says why. Runs without
+pytest, so every interpreter can print its own family:
+
+    PYTHONPATH=src python tests/golden.py          # print this family's table
+    PYTHONPATH=src python tests/golden.py --write  # store it in golden_digests.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+try:
+    import pytest  # noqa: F401  (conftest imports it)
+except ImportError:  # conftest needs only an identity ``pytest.fixture``
+    import types
+
+    _stub = types.ModuleType("pytest")
+    _stub.fixture = lambda fn=None, **kwargs: fn if fn is not None else (lambda f: f)
+    sys.modules["pytest"] = _stub
+
+from conftest import synth_corpus
+
+from vnspam import FittedPipeline, PipelineConfig, stratified_kfold
+from vnspam.evaluation import reference_grid, run_grid, write_csv
+
+TABLE = Path(__file__).with_name("golden_digests.json")
+FAMILY = "3.12+" if sys.version_info >= (3, 12) else "3.10-3.11"
+BASE = PipelineConfig(epochs=3, min_count=3)
+HELD_OUT = [m.text for m in synth_corpus(10, seed=8, tag_spam=True).messages] + [
+    "",
+    "Goi 0912345678 ngay 20/10 nhan 200k tai www.abc.vn",
+]
+
+
+def configs() -> dict[str, PipelineConfig]:
+    out = {}
+    for passes, preprocess in ((1, True), (1, False), (2, True)):
+        for kind in ("nb", "svm", "lr", "dt", "knn"):
+            for rep in ("bow", "tfidf"):
+                for length in (True, False):
+                    name = "-".join(
+                        [kind, rep, "len" if length else "nolen",
+                         "pre" if preprocess else "raw", f"p{passes}"]
+                    )
+                    out[name] = replace(
+                        BASE, classifier=kind, representation=rep, length_feature=length,
+                        preprocess=preprocess, passes=passes,
+                    )
+    return out
+
+
+def model_digests(workdir: Path) -> dict[str, str]:
+    messages = synth_corpus(400, seed=7).messages
+    out = {}
+    for name, config in configs().items():
+        fitted = FittedPipeline.fit(messages, config)
+        path = workdir / f"{name}.json"
+        fitted.save(path)
+        h = hashlib.sha256(path.read_bytes())
+        h.update(repr([fitted.predict_text(t) for t in HELD_OUT]).encode("utf-8"))
+        out[name] = h.hexdigest()[:16]
+    return out
+
+
+def grid_digest(workdir: Path) -> str:
+    corpus = synth_corpus(150, seed=5)
+    folds = stratified_kfold(corpus, k=5)
+    path = workdir / "rates.csv"
+    write_csv(run_grid(corpus, folds, reference_grid(PipelineConfig(epochs=3))), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def load() -> dict:
+    return json.loads(TABLE.read_text(encoding="utf-8"))
+
+
+def main(argv) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        got = {"grid_rates_csv": grid_digest(Path(tmp)), "models": model_digests(Path(tmp))}
+    print(json.dumps({"family": FAMILY, **got}, indent=1))
+    if "--write" in argv:
+        table = load() if TABLE.exists() else {"models": {}}
+        table["grid_rates_csv"] = got["grid_rates_csv"]
+        table["models"][FAMILY] = got["models"]
+        TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {TABLE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
