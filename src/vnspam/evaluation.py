@@ -8,18 +8,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .classifiers import epoch_orders, predict, rule_baseline, train
+from .classifiers import epoch_orders
 from .corpus import Corpus, FoldAssignment, Label
-from .features import build_vocabulary
-from .pipeline import (
-    FittedPipeline,
-    Normalized,
-    PipelineConfig,
-    _featurize,
-    fit_segmentation,
-    normalize,
-)
-from .preprocess import EntityRuleSet, segment
+from .pipeline import FittedPipeline, Normalized, PipelineConfig, _fit_rows, normalize
+from .preprocess import EntityRuleSet
 
 __all__ = [
     "ConfusionCounts",
@@ -161,10 +153,12 @@ def cross_validate(
 
     All fitted state (collocations, vocabulary, classifier) comes from the
     training folds only. Every held-out fold must contain both classes so its
-    rates are defined. Each message is normalized once for all folds, and each
-    segment fit, vocabulary and svm/lr visiting order is built once for all
-    the folds that read it. ``plan`` may carry those stage outputs when the
-    caller shares them across configurations, as ``run_grid`` does.
+    rates are defined. Folds are fitted and scored by the stages of
+    ``FittedPipeline.fit`` and ``predict_text``. Each message is normalized
+    once for all folds, and each segment fit with its segmented streams,
+    vocabulary and svm/lr visiting order is built once for all the folds that
+    read it. ``plan`` may carry those stage outputs when the caller shares
+    them across configurations, as ``run_grid`` does.
     """
     config = config or PipelineConfig()
     config.validate()
@@ -187,65 +181,34 @@ def cross_validate(
         gold = [corpus.messages[i].label for i in test]
         if Label.SPAM not in gold or Label.LEGITIMATE not in gold:
             raise ValueError(f"fold {f} does not contain both classes")
-        if config.classifier == "baseline":
-            predicted = [rule_baseline(normalized[i].text).label for i in test]
-        else:
-            labels = [corpus.messages[i].label for i in training]
-            if any(lab is None for lab in labels):
-                raise ValueError("cannot train on unlabeled messages")
-            predicted = _fit_fold(f, training, labels, test, normalized, config, plan)
+        labels = [corpus.messages[i].label for i in training]
+        predicted = _fit_fold(f, training, labels, test, normalized, config, rules, plan)
         counts = confusion(gold, predicted)
         outcomes.append(FoldOutcome(fold=str(f), counts=counts, rates=rates(counts)))
     return _report(config.name, outcomes)
 
 
-def _fit_fold(fold, training, labels, test, normalized, config, plan) -> list[Label]:
-    """Fit every stage on the ``training`` rows and label the ``test`` rows;
-    the stages are those of ``FittedPipeline.fit`` and ``predict_text``."""
-    segment_key, vocab_key, orders_key = _stage_keys(config, fold, len(training))
-    streams = [normalized[i].tokens for i in training]
-    collocations = []
-    if segment_key is not None:
-        collocations = plan.get(segment_key, lambda: fit_segmentation(streams, config)[0])
-        streams = [_segmented(s, collocations) for s in streams]
-    vocab = plan.get(vocab_key, lambda: build_vocabulary(streams, min_df=config.min_df))
-    vectors = [
-        _featurize(s, normalized[i].text, vocab, config) for s, i in zip(streams, training)
-    ]
-    # Let the learner reuse the token streams' memory.
-    del streams
-    orders = None
-    if orders_key is not None:
-        orders = plan.get(orders_key, lambda: list(map(tuple, epoch_orders(*orders_key[1:]))))
-    model = train(config.classifier, vectors, labels, config.hyperparams(), orders)
-    del vectors
-    predicted = []
-    for i in test:
-        norm = normalized[i]
-        vec = _featurize(_segmented(norm.tokens, collocations), norm.text, vocab, config)
-        predicted.append(predict(model, vec).label)
-    return predicted
-
-
-def _segmented(stream: list[str], collocations) -> list[str]:
-    for cm in collocations:
-        stream = segment(stream, cm)
-    return stream
+def _fit_fold(fold, training, labels, test, normalized, config, rules, plan) -> list[Label]:
+    """Fit on the ``training`` rows and label the ``test`` rows."""
+    rows = [normalized[i] for i in training]
+    fitted = _fit_rows(rows, labels, config, rules, plan.stages(config, fold, len(training)))
+    return [fitted._predict(normalized[i]).label for i in test]
 
 
 def _normalize_key(config: PipelineConfig) -> tuple:
     return ("normalize", config.preprocess, config.nfc)
 
 
-def _stage_keys(config: PipelineConfig, fold: int, n_train: int) -> tuple:
-    """The segment fit, vocabulary and visiting-order keys of one fold fit:
-    the fold and every config field the stage reads. A stage the fit skips
-    has key None."""
+def _stage_keys(config: PipelineConfig, fold: int, n_train: int) -> dict:
+    """The ``{stage: key}`` of one fold fit: each key holds the fold and every
+    config field its stage reads. A stage with nothing to share has key None."""
     c = config
     fit = (fold, c.preprocess, c.nfc, c.discount, c.min_count, c.colloc_threshold, c.passes)
-    segment_key = ("segment", *fit) if c.preprocess else None
-    orders_key = ("orders", c.seed, n_train, c.epochs) if c.classifier in ("svm", "lr") else None
-    return segment_key, ("vocabulary", *fit, c.min_df), orders_key
+    return {
+        "segment": ("segment", *fit) if c.preprocess else None,
+        "vocabulary": ("vocabulary", *fit, c.min_df),
+        "orders": ("orders", c.seed, n_train, c.epochs) if c.classifier in ("svm", "lr") else None,
+    }
 
 
 class _Plan:
@@ -266,7 +229,7 @@ class _Plan:
             self.readers[_normalize_key(cfg)] += 1
             if cfg.classifier != "baseline":
                 for f in range(folds.k):
-                    keys = _stage_keys(cfg, f, len(folds.fold_of) - sizes[f])
+                    keys = _stage_keys(cfg, f, len(folds.fold_of) - sizes[f]).values()
                     self.readers.update(k for k in keys if k is not None)
 
     def get(self, key, build):
@@ -276,6 +239,19 @@ class _Plan:
             self.readers[key] = left
             self.kept[key] = value
         return value
+
+    def stages(self, config: PipelineConfig, fold: int, n_train: int):
+        """The ``plan`` of ``pipeline._fit_rows`` for one fold fit; it also
+        materializes the visiting orders, which only sharing makes worth it."""
+        keys = _stage_keys(config, fold, n_train)
+
+        def plan(stage, build):
+            key = keys[stage]
+            if key is not None and stage == "orders":
+                build = lambda: list(map(tuple, epoch_orders(*key[1:])))  # noqa: E731
+            return build() if key is None else self.get(key, build)
+
+        return plan
 
 
 def _normalize_corpus(corpus: Corpus, config: PipelineConfig, rules) -> list[Normalized]:

@@ -178,8 +178,9 @@ def fit_segmentation(
 ) -> tuple[list[CollocationModel], list[list[str]]]:
     """The segment stage's fit: ``config.passes`` collocation models, each
     fitted on the streams the previous passes segmented. Returns the models
-    and the segmented streams."""
+    and the segmented streams, which hold one ``str`` per distinct token."""
     models = []
+    shared: dict[str, str] = {}
     for _ in range(config.passes):
         cm = fit_collocations(
             streams,
@@ -188,7 +189,7 @@ def fit_segmentation(
             threshold=config.colloc_threshold,
         )
         models.append(cm)
-        streams = [segment(s, cm) for s in streams]
+        streams = [[shared.setdefault(t, t) for t in segment(s, cm)] for s in streams]
     return models, streams
 
 
@@ -204,6 +205,31 @@ def _featurize(
     return vec
 
 
+def _fit_rows(
+    rows: list[Normalized], labels, config: PipelineConfig, rules: EntityRuleSet,
+    plan=lambda stage, build: build(),
+) -> "FittedPipeline":
+    """Fit the stages after normalize, with no ``stats``; ``rows`` is emptied
+    before the learner runs. ``plan(stage, build)`` returns the ``"segment"``
+    (models, segmented streams), ``"vocabulary"`` and ``"orders"`` outputs:
+    built in place by default, shared across fits by evaluation."""
+    hyper = config.hyperparams()
+    if config.classifier == "baseline":
+        return FittedPipeline(config, rules, [], None, train("baseline", [], [], hyper), None)
+    if any(lab is None for lab in labels):
+        raise ValueError("cannot train on unlabeled messages")
+    streams = [n.tokens for n in rows]
+    collocations, streams = plan(
+        "segment", lambda: fit_segmentation(streams, config) if config.preprocess else ([], streams)
+    )
+    vocab = plan("vocabulary", lambda: build_vocabulary(streams, min_df=config.min_df))
+    vectors = [_featurize(s, n.text, vocab, config) for s, n in zip(streams, rows)]
+    rows.clear()
+    del streams
+    model = train(config.classifier, vectors, labels, hyper, plan("orders", lambda: None))
+    return FittedPipeline(config, rules, collocations, vocab, model, None)
+
+
 class FittedPipeline:
     """A trained spam filter ready to score raw message text."""
 
@@ -214,7 +240,7 @@ class FittedPipeline:
         collocations: list[CollocationModel],
         vocab: Vocabulary | None,
         model: TrainedModel,
-        stats: FitStats,
+        stats: FitStats | None,
     ):
         self.config = config
         self.rules = rules
@@ -239,32 +265,20 @@ class FittedPipeline:
         messages = list(messages)
         if not messages:
             raise ValueError("cannot fit a pipeline on an empty corpus")
+        rows = []  # the rule baseline reads no stage output, so it skips normalize too
+        if config.classifier != "baseline":
+            rows = [normalize(m.text, config, rules) for m in messages]
+        stats = [len(messages), len({tok for n in rows for tok in n.text.split()}), 0]
 
-        if config.classifier == "baseline":
-            model = train("baseline", [], [], config.hyperparams())
-            stats = FitStats(len(messages), 0, 0, 0)
-            return cls(config, rules, [], None, model, stats)
+        def plan(stage, build):
+            out = build()
+            if stage == "segment":
+                stats[2] = len({tok for s in out[1] for tok in s})
+            return out
 
-        labels = [m.label for m in messages]
-        if any(lab is None for lab in labels):
-            raise ValueError("cannot train on unlabeled messages")
-        normalized = [normalize(m.text, config, rules) for m in messages]
-        texts = [n.text for n in normalized]
-        streams = [n.tokens for n in normalized]
-
-        raw_terms = len({tok for t in texts for tok in t.split()})
-        collocations: list[CollocationModel] = []
-        if config.preprocess:
-            collocations, streams = fit_segmentation(streams, config)
-        preprocessed_terms = len({tok for s in streams for tok in s})
-
-        vocab = build_vocabulary(streams, min_df=config.min_df)
-        vectors = [_featurize(s, t, vocab, config) for s, t in zip(streams, texts)]
-        stats = FitStats(len(texts), raw_terms, preprocessed_terms, len(vocab))
-        # Let the learner reuse the token streams' memory.
-        del normalized, texts, streams
-        model = train(config.classifier, vectors, labels, config.hyperparams())
-        return cls(config, rules, collocations, vocab, model, stats)
+        fitted = _fit_rows(rows, [m.label for m in messages], config, rules, plan)
+        fitted.stats = FitStats(*stats, len(fitted.vocab or ()))
+        return fitted
 
     # -- prediction ------------------------------------------------------
 
@@ -280,14 +294,23 @@ class FittedPipeline:
     def vector(self, text: str) -> FeatureVector:
         if self.vocab is None:
             raise ValueError("the rule baseline has no feature space")
-        norm = normalize(text, self.config, self.rules)
-        return _featurize(self._segment(norm.tokens), norm.text, self.vocab, self.config)
+        return self._vector(normalize(text, self.config, self.rules))
+
+    def _vector(self, row: Normalized) -> FeatureVector:
+        return _featurize(self._segment(row.tokens), row.text, self.vocab, self.config)
+
+    def _predict(self, row: Normalized) -> Prediction:
+        """Label one normalized message; ``predict_text`` and cross-validation
+        both score here."""
+        if self.config.classifier == "baseline":
+            return rule_baseline(row.text)
+        return predict(self.model, self._vector(row))
 
     def predict_text(self, text: str) -> Prediction:
         """Label one raw message."""
-        if self.config.classifier == "baseline":
-            return rule_baseline(_nfc(text, self.config))
-        return predict(self.model, self.vector(text))
+        if self.config.classifier == "baseline":  # the rule reads only the text
+            return self._predict(Normalized(_nfc(text, self.config), []))
+        return self._predict(normalize(text, self.config, self.rules))
 
     # -- persistence -----------------------------------------------------
 

@@ -454,7 +454,7 @@ def test_run_grid_builds_each_shared_stage_once_and_keeps_nothing(monkeypatch):
     from collections import Counter
     from dataclasses import replace
 
-    from vnspam import classifiers, evaluation
+    from vnspam import classifiers, evaluation, pipeline
 
     calls = Counter()
 
@@ -472,11 +472,12 @@ def test_run_grid_builds_each_shared_stage_once_and_keeps_nothing(monkeypatch):
             super().__init__(*args)
             plans.append(self)
 
-    segment = counting("segment", evaluation.fit_segmentation)
-    vocabulary = counting("vocabulary", evaluation.build_vocabulary)
+    segment = counting("segment", pipeline.fit_segmentation)
+    vocabulary = counting("vocabulary", pipeline.build_vocabulary)
     orders = counting("orders", classifiers.epoch_orders)
-    monkeypatch.setattr(evaluation, "fit_segmentation", segment)
-    monkeypatch.setattr(evaluation, "build_vocabulary", vocabulary)
+    monkeypatch.setattr(pipeline, "fit_segmentation", segment)
+    monkeypatch.setattr(pipeline, "build_vocabulary", vocabulary)
+    monkeypatch.setattr(pipeline, "segment", counting("segment calls", pipeline.segment))
     monkeypatch.setattr(evaluation, "epoch_orders", orders)
     monkeypatch.setattr(classifiers, "epoch_orders", orders)
     monkeypatch.setattr(evaluation, "_Plan", RecordingPlan)
@@ -484,7 +485,15 @@ def test_run_grid_builds_each_shared_stage_once_and_keeps_nothing(monkeypatch):
     folds = stratified_kfold(corpus, k=5)
     sizes = {len(corpus) - n for n in folds.fold_sizes()}
     assert len(sizes) > 1  # so the orders key must tell training sizes apart
-    run_grid(corpus, folds, reference_grid(PipelineConfig(epochs=2)))
-    assert calls == {"segment": 5, "vocabulary": 15, "orders": len(sizes)}
+    configs = reference_grid(PipelineConfig(epochs=2))
+    run_grid(corpus, folds, configs)
+    segmenting = sum(c.preprocess and c.classifier != "baseline" for c in configs)
+    # each fold's training streams once, in its segment fit; then each
+    # held-out message once per configuration that segments
+    segment_calls = (folds.k - 1) * len(corpus) + segmenting * len(corpus)
+    assert segment_calls == 2233
+    assert calls == {
+        "segment": 5, "vocabulary": 15, "orders": len(sizes), "segment calls": segment_calls
+    }
     assert len(plans) == 1
     assert plans[0].kept == {} and not plans[0].readers
