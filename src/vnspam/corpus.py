@@ -144,6 +144,11 @@ class FoldAssignment:
     k: int
     fold_of: dict[int, int]
 
+    def __post_init__(self):
+        for i, f in self.fold_of.items():
+            if not isinstance(f, int) or isinstance(f, bool) or not 0 <= f < self.k:
+                raise ValueError(f"message {i} has fold id {f!r}, not an int in range({self.k})")
+
     def fold_sizes(self) -> list[int]:
         sizes = [0] * self.k
         for f in self.fold_of.values():

@@ -7,6 +7,7 @@ import pytest
 from vnspam import (
     Corpus,
     CorpusError,
+    FoldAssignment,
     Label,
     Message,
     load_corpus,
@@ -188,3 +189,12 @@ def test_fold_balance_on_awkward_sizes():
             assert max(counts) - min(counts) <= 1
         sizes = folds.fold_sizes()
         assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 7, 1.0, True, None])
+def test_fold_assignment_rejects_fold_ids_outside_range_k(bad):
+    fold_of = dict(stratified_kfold(synth_corpus(60, seed=3), k=5).fold_of)
+    assert FoldAssignment(k=5, fold_of=dict(fold_of)).fold_sizes() == [12] * 5
+    fold_of[0] = bad
+    with pytest.raises(ValueError, match=rf"message 0 has fold id {bad!r}, not an int in range\(5\)"):
+        FoldAssignment(k=5, fold_of=fold_of)
