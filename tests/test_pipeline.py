@@ -104,6 +104,17 @@ def test_preprocess_tokens_are_tagged_and_segmented(small_corpus):
     assert "<date>" in " ".join(toks)
 
 
+def test_fit_segmentation_keeps_one_str_per_distinct_token():
+    # segment builds each merged token per occurrence; evaluation keeps
+    # the segmented streams, so they must hold one copy of each token
+    streams = [["khuyen", "mai", "soan", "tin", "ngay"] for _ in range(30)]
+    streams += [["mai", "tin", "khuyen"] for _ in range(30)]
+    models, out = pipeline.fit_segmentation(streams, PipelineConfig(min_count=2, passes=2))
+    assert out[0] == ["khuyen_mai_soan_tin", "ngay"] and out[-1] == ["mai_tin_khuyen"]
+    tokens = [t for s in out for t in s]
+    assert len({id(t) for t in tokens}) == len(set(tokens)) == 3
+
+
 def test_nfc_folds_decomposed_input():
     msgs = [
         Message(0, "khuyen mai ve xem phim", Label.SPAM),
