@@ -206,13 +206,12 @@ def _featurize(
 
 
 def _fit_rows(
-    rows: list[Normalized], labels, config: PipelineConfig, rules: EntityRuleSet,
-    plan=lambda stage, build: build(),
+    rows: list[Normalized], labels, config: PipelineConfig, rules: EntityRuleSet, plan
 ) -> "FittedPipeline":
     """Fit the stages after normalize, with no ``stats``; ``rows`` is emptied
     before the learner runs. ``plan(stage, build)`` returns the ``"segment"``
     (models, segmented streams), ``"vocabulary"`` and ``"orders"`` outputs:
-    built in place by default, shared across fits by evaluation."""
+    ``fit`` builds each in place, evaluation shares them across fits."""
     hyper = config.hyperparams()
     if config.classifier == "baseline":
         return FittedPipeline(config, rules, [], None, train("baseline", [], [], hyper), None)
