@@ -457,62 +457,8 @@ def _train_dt(vectors, spam_flags, max_depth: int) -> dict:
         s = len(spam_idxs)
         if s == 0 or s == n or depth >= max_depth or n < 2:
             return leaf(n, s)
-
-        ones_n = Counter(chain.from_iterable(ones[i] for i in idxs))
-        ones_s = Counter(chain.from_iterable(ones[i] for i in spam_idxs))
-        pairs_n = Counter(chain.from_iterable(others[i] for i in idxs))
-        pairs_s = Counter(chain.from_iterable(others[i] for i in spam_idxs))
-        by_feature: dict[int, list[float]] = {}
-        for f, val in pairs_n:
-            by_feature.setdefault(f, []).append(val)
-        best_num = s * s + (n - s) * (n - s)
-        best_den = n
-        best: tuple[int, float] | None = None
-        for f in sorted(ones_n.keys() | by_feature.keys()):
-            one_n = ones_n[f]
-            one_s = ones_s[f]
-            vals = by_feature.get(f)
-            if vals is None:
-                # Values 0 and 1 only: the single split puts the zeros left.
-                zero_n = n - one_n
-                if not zero_n:
-                    continue
-                zero_s = s - one_s
-                zh = zero_n - zero_s
-                oh = one_n - one_s
-                num = (zero_s * zero_s + zh * zh) * one_n + (one_s * one_s + oh * oh) * zero_n
-                den = zero_n * one_n
-                if num * best_den > best_num * den:
-                    best_num, best_den = num, den
-                    best = (f, 0.5)
-                continue
-            buckets = {val: (pairs_n[f, val], pairs_s[f, val]) for val in vals}
-            zero_n = n - one_n - sum(cnt for cnt, _ in buckets.values())
-            zero_s = s - one_s - sum(sp for _, sp in buckets.values())
-            if one_n:
-                buckets[1] = (one_n, one_s)
-            if zero_n:
-                buckets[0.0] = (zero_n, zero_s)
-            if len(buckets) < 2:
-                continue
-            values = sorted(buckets)
-            left_n = 0
-            left_s = 0
-            for j in range(len(values) - 1):
-                cnt, sp = buckets[values[j]]
-                left_n += cnt
-                left_s += sp
-                right_n = n - left_n
-                right_s = s - left_s
-                lh = left_n - left_s
-                rh = right_n - right_s
-                num = (left_s * left_s + lh * lh) * right_n + (
-                    right_s * right_s + rh * rh
-                ) * left_n
-                den = left_n * right_n
-                if num * best_den > best_num * den:
-                    best_num, best_den = num, den
-                    best = (f, (values[j] + values[j + 1]) / 2.0)
+        # The search's counters die with its frame, before the recursion.
+        best = _dt_split(ones, others, idxs, spam_idxs)
         if best is None:
             return leaf(n, s)
         f, thr = best
@@ -525,6 +471,67 @@ def _train_dt(vectors, spam_flags, max_depth: int) -> dict:
 
     root = build(list(range(len(rows))), 0)
     return {"nodes": nodes, "root": root}
+
+
+def _dt_split(ones, others, idxs, spam_idxs) -> tuple[int, float] | None:
+    """The best ``(feature, threshold)`` split of one ``_train_dt`` node, or
+    None when no split improves the impurity."""
+    n = len(idxs)
+    s = len(spam_idxs)
+    ones_n = Counter(chain.from_iterable(ones[i] for i in idxs))
+    ones_s = Counter(chain.from_iterable(ones[i] for i in spam_idxs))
+    pairs_n = Counter(chain.from_iterable(others[i] for i in idxs))
+    pairs_s = Counter(chain.from_iterable(others[i] for i in spam_idxs))
+    by_feature: dict[int, list[float]] = {}
+    for f, val in pairs_n:
+        by_feature.setdefault(f, []).append(val)
+    best_num = s * s + (n - s) * (n - s)
+    best_den = n
+    best: tuple[int, float] | None = None
+    for f in sorted(ones_n.keys() | by_feature.keys()):
+        one_n = ones_n[f]
+        one_s = ones_s[f]
+        vals = by_feature.get(f)
+        if vals is None:
+            # Values 0 and 1 only: the single split puts the zeros left.
+            zero_n = n - one_n
+            if not zero_n:
+                continue
+            zero_s = s - one_s
+            zh = zero_n - zero_s
+            oh = one_n - one_s
+            num = (zero_s * zero_s + zh * zh) * one_n + (one_s * one_s + oh * oh) * zero_n
+            den = zero_n * one_n
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+                best = (f, 0.5)
+            continue
+        buckets = {val: (pairs_n[f, val], pairs_s[f, val]) for val in vals}
+        zero_n = n - one_n - sum(cnt for cnt, _ in buckets.values())
+        zero_s = s - one_s - sum(sp for _, sp in buckets.values())
+        if one_n:
+            buckets[1] = (one_n, one_s)
+        if zero_n:
+            buckets[0.0] = (zero_n, zero_s)
+        if len(buckets) < 2:
+            continue
+        values = sorted(buckets)
+        left_n = 0
+        left_s = 0
+        for j in range(len(values) - 1):
+            cnt, sp = buckets[values[j]]
+            left_n += cnt
+            left_s += sp
+            right_n = n - left_n
+            right_s = s - left_s
+            lh = left_n - left_s
+            rh = right_n - right_s
+            num = (left_s * left_s + lh * lh) * right_n + (right_s * right_s + rh * rh) * left_n
+            den = left_n * right_n
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+                best = (f, (values[j] + values[j + 1]) / 2.0)
+    return best
 
 
 def _score_dt(params: dict, vector: FeatureVector) -> float:

@@ -139,12 +139,16 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Partition of message ids into k folds."""
+    """Partition of message ids into k folds. ``fold_of`` is a plain dict, so it
+    pickles for a process pool, and evaluation runs ``validate`` again."""
 
     k: int
     fold_of: dict[int, int]
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         for i, f in self.fold_of.items():
             if not isinstance(f, int) or isinstance(f, bool) or not 0 <= f < self.k:
                 raise ValueError(f"message {i} has fold id {f!r}, not an int in range({self.k})")

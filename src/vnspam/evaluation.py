@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -162,16 +161,17 @@ def cross_validate(
     """
     config = config or PipelineConfig()
     config.validate()
+    folds.validate()
     ids = {m.id for m in corpus.messages}
     if set(folds.fold_of) != ids:
         raise ValueError("fold assignment does not cover exactly this corpus")
     if folds.k < 2:
         raise ValueError("need at least two folds")
     rules = rules or EntityRuleSet.default()
-    plan = plan or _Plan(folds, [config])
-    normalized = plan.get(
-        _normalize_key(config), lambda: _normalize_corpus(corpus, config, rules)
-    )
+    # The baseline rule reads only the NFC text, so its pass tags nothing.
+    norm = replace(config, preprocess=False) if config.classifier == "baseline" else config
+    plan = plan or _Plan(folds, [norm])
+    normalized = plan.get(_normalize_key(norm), lambda: _normalize_corpus(corpus, norm, rules))
 
     outcomes = []
     for f in range(folds.k):
@@ -308,6 +308,7 @@ def run_grid(
     configs = list(configs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    folds.validate()
     rules = rules or EntityRuleSet.default()
     pooled = jobs > 1 and len(configs) > 1
     trained = [cfg for cfg in configs if cfg.classifier != "baseline"]
@@ -327,6 +328,7 @@ def run_grid(
     del passes, shared
     if not pooled:
         return [_evaluate_one(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # not at the top: loads multiprocessing
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_evaluate_one, tasks))
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -604,3 +605,24 @@ def test_module_entrypoint_help():
     )
     assert proc.returncode == 0
     assert "train" in proc.stdout and "predict" in proc.stdout
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only `evaluate --jobs` above 1 needs the pool; the modules that `site`
+    # loaded before the import do not count.
+    from pathlib import Path
+
+    import vnspam
+
+    code = (
+        "import sys; before = set(sys.modules); import vnspam.cli; "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    src = str(Path(vnspam.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -170,6 +170,18 @@ def test_cross_validate_rejects_one_class_fold():
         cross_validate(corpus, folds, FAST)
 
 
+@pytest.mark.parametrize("bad", [-1, 7, 1.0])
+def test_fold_ids_edited_after_construction_are_rejected(bad):
+    corpus = synth_corpus(60, seed=3)
+    folds = stratified_kfold(corpus, k=5)
+    folds.fold_of[0] = bad
+    match = rf"message 0 has fold id {bad!r}, not an int in range\(5\)"
+    with pytest.raises(ValueError, match=match):
+        cross_validate(corpus, folds, FAST)
+    with pytest.raises(ValueError, match=match):
+        run_grid(corpus, folds, [FAST])
+
+
 # -- baseline and grid ------------------------------------------------------------
 
 
@@ -218,9 +230,8 @@ def test_run_grid_parallel_matches_serial():
 def test_run_grid_starts_at_most_one_worker_per_config(small_corpus, monkeypatch):
     # Under fork, ProcessPoolExecutor starts all max_workers processes up
     # front, so a fake pool records the count and maps in this process.
+    import concurrent.futures
     from dataclasses import replace
-
-    from vnspam import evaluation
 
     started = []
 
@@ -237,7 +248,7 @@ def test_run_grid_starts_at_most_one_worker_per_config(small_corpus, monkeypatch
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     folds = stratified_kfold(small_corpus, k=2)
     grid = [replace(FAST, classifier="nb"), FAST]
     reports = run_grid(small_corpus, folds, grid, jobs=64)
@@ -437,6 +448,9 @@ def test_evaluation_tags_each_message_once_per_run(small_corpus, monkeypatch):
     calls.clear()
     cross_validate(small_corpus, folds, FAST)
     assert len(calls) == len(small_corpus)
+    calls.clear()  # the baseline rule reads only the NFC text
+    cross_validate(small_corpus, folds, replace(FAST, classifier="baseline"))
+    assert calls == []
 
 
 def test_cross_validate_baseline_matches_unshared_loop():
