@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields
 
 from .classifiers import KINDS
-from .corpus import CorpusError, load_corpus, stratified_kfold, Label
+from .corpus import Corpus, CorpusError, load_corpus, stratified_kfold, Label
 from .evaluation import reference_grid, format_table, run_grid, write_csv
 from .pipeline import (
     REPRESENTATIONS,
@@ -89,10 +89,12 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _load_rules(args: argparse.Namespace) -> EntityRuleSet | None:
-    if getattr(args, "rules", None):
-        return EntityRuleSet.from_file(args.rules)
-    return None
+def _inputs(args: argparse.Namespace) -> tuple[PipelineConfig, EntityRuleSet | None, Corpus]:
+    """The checked config, then the rules and the corpus the flags name."""
+    config = _config_from_args(args)
+    config.validate()
+    rules = EntityRuleSet.from_file(args.rules) if args.rules else None
+    return config, rules, load_corpus(args.corpus)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,10 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    config.validate()
-    rules = _load_rules(args)
-    corpus = load_corpus(args.corpus)
+    config, rules, corpus = _inputs(args)
     fitted = FittedPipeline.fit(corpus.messages, config, rules)
     fitted.save(args.out)
 
@@ -196,10 +195,7 @@ def cmd_predict(args: argparse.Namespace, stdin=None) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.folds < 2:
         raise ValueError(f"--folds must be at least 2, got {args.folds}")
-    base = _config_from_args(args)
-    base.validate()
-    rules = _load_rules(args)
-    corpus = load_corpus(args.corpus)
+    base, rules, corpus = _inputs(args)
     folds = stratified_kfold(corpus, args.folds, seed=args.seed)
     configs = reference_grid(base) if args.grid == "paper" else [base]
     reports = run_grid(corpus, folds, configs, rules, jobs=args.jobs)
@@ -211,10 +207,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    config.validate()
-    rules = _load_rules(args)
-    corpus = load_corpus(args.corpus)
+    config, rules, corpus = _inputs(args)
     streams = [normalize(m.text, config, rules).tokens for m in corpus.messages]
     models, streams = fit_segmentation(streams, config)
     if args.show_merges:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .classifiers import epoch_orders
@@ -88,15 +89,17 @@ def confusion(gold_labels, predicted_labels) -> ConfusionCounts:
     if len(gold) != len(predicted):
         raise ValueError(f"{len(gold)} gold labels but {len(predicted)} predictions")
     spam_total = legit_total = spam_as_legit = legit_as_spam = 0
-    for g, p in zip(gold, predicted):
+    for i, (g, p) in enumerate(zip(gold, predicted)):
         if g is Label.SPAM:
             spam_total += 1
             if p is Label.LEGITIMATE:
                 spam_as_legit += 1
-        else:
+        elif g is Label.LEGITIMATE:
             legit_total += 1
             if p is Label.SPAM:
                 legit_as_spam += 1
+        else:
+            raise ValueError(f"gold label {i} is {g!r}, not a Label")
     return ConfusionCounts(spam_total, legit_total, spam_as_legit, legit_as_spam)
 
 
@@ -189,7 +192,9 @@ def cross_validate(
 
 
 def _fit_fold(fold, training, labels, test, normalized, config, rules, plan) -> list[Label]:
-    """Fit on the ``training`` rows and label the ``test`` rows."""
+    """Fit on the ``training`` rows and label the ``test`` rows. Not inlined
+    into the fold loop: a loop variable would keep each fold's model alive
+    while the next fold fits, which raises the grid's peak memory."""
     rows = [normalized[i] for i in training]
     fitted = _fit_rows(rows, labels, config, rules, plan.stages(config, fold, len(training)))
     return [fitted._predict(normalized[i]).label for i in test]
@@ -280,13 +285,6 @@ def evaluate_baseline(corpus: Corpus, config: PipelineConfig | None = None) -> E
     return _report(config.name, [outcome])
 
 
-def _evaluate_one(args) -> EvalReport:
-    corpus, folds, config, rules, plan = args
-    if config.classifier == "baseline":
-        return evaluate_baseline(corpus, config)
-    return cross_validate(corpus, folds, config, rules, plan)
-
-
 def run_grid(
     corpus: Corpus,
     folds: FoldAssignment,
@@ -296,41 +294,33 @@ def run_grid(
 ) -> list[EvalReport]:
     """Evaluate each configuration; baseline entries run whole-corpus.
 
-    The corpus is normalized (NFC, entity tagging) once for each distinct
-    ``(preprocess, nfc)`` pair among the configurations, before any fit, and
-    that one pass serves every configuration and fold that shares it. With
-    jobs = 1 each fold's segment fit and vocabulary, and each svm/lr visiting
-    order, is also built once for every configuration that reads it, and
-    dropped after the last one. With jobs > 1 the configurations run in a
-    pool of at most one process each, and each shares only within itself;
-    results keep the grid order either way.
+    One plan over the trained configurations builds each normalize pass
+    (NFC, entity tagging), each fold's segment fit and vocabulary, and each
+    svm/lr visiting order once for every configuration that reads it, and
+    drops it after the last one. With jobs > 1 the configurations are split
+    into at most ``jobs`` contiguous chunks, and each worker process runs this
+    grid on one chunk. Results keep the grid order either way, and an error
+    is the first failing configuration's.
     """
     configs = list(configs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     folds.validate()
     rules = rules or EntityRuleSet.default()
-    pooled = jobs > 1 and len(configs) > 1
-    trained = [cfg for cfg in configs if cfg.classifier != "baseline"]
-    shared = None if pooled else _Plan(folds, trained)
-    passes: dict[tuple, list[Normalized]] = {}
-    tasks = []
-    for cfg in configs:
-        plan = None
-        if cfg.classifier != "baseline":
-            plan = _Plan(folds, [cfg]) if pooled else shared
-            key = _normalize_key(cfg)
-            if key not in passes:
-                passes[key] = _normalize_corpus(corpus, cfg, rules)
-            plan.kept[key] = passes[key]
-        tasks.append((corpus, folds, cfg, rules, plan))
-    # From here on only the plans hold the passes, so each goes with its last reader.
-    del passes, shared
-    if not pooled:
-        return [_evaluate_one(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # not at the top: loads multiprocessing
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_evaluate_one, tasks))
+    n = min(jobs, len(configs))
+    if n > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not at the top: loads multiprocessing
+        bounds = [len(configs) * i // n for i in range(n + 1)]
+        chunks = [configs[a:b] for a, b in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            done = pool.map(partial(run_grid, corpus, folds, rules=rules), chunks)
+            return [report for chunk in done for report in chunk]
+    plan = _Plan(folds, [cfg for cfg in configs if cfg.classifier != "baseline"])
+    return [
+        evaluate_baseline(corpus, cfg) if cfg.classifier == "baseline"
+        else cross_validate(corpus, folds, cfg, rules, plan)
+        for cfg in configs
+    ]
 
 
 def reference_grid(base: PipelineConfig | None = None) -> list[PipelineConfig]:
@@ -365,16 +355,8 @@ def format_table(reports) -> str:
     header = ("config", "tpr", "tnr", "fpr", "fnr", "folds")
     rows = [header]
     for r in reports:
-        rows.append(
-            (
-                r.config_name,
-                f"{100 * r.averaged.tpr:.2f}%",
-                f"{100 * r.averaged.tnr:.2f}%",
-                f"{100 * r.averaged.fpr:.2f}%",
-                f"{100 * r.averaged.fnr:.2f}%",
-                str(len(r.per_fold)),
-            )
-        )
+        percents = [f"{100 * x:.2f}%" for x in astuple(r.averaged)]
+        rows.append((r.config_name, *percents, str(len(r.per_fold))))
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = []
     for row in rows:
@@ -391,20 +373,5 @@ def write_csv(reports, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["config", "fold", "tpr", "tnr", "fpr", "fnr"])
         for r in reports:
-            for o in r.per_fold:
-                writer.writerow(
-                    [r.config_name, o.fold]
-                    + [repr(x) for x in (o.rates.tpr, o.rates.tnr, o.rates.fpr, o.rates.fnr)]
-                )
-            writer.writerow(
-                [r.config_name, "avg"]
-                + [
-                    repr(x)
-                    for x in (
-                        r.averaged.tpr,
-                        r.averaged.tnr,
-                        r.averaged.fpr,
-                        r.averaged.fnr,
-                    )
-                ]
-            )
+            for fold, rt in [(o.fold, o.rates) for o in r.per_fold] + [("avg", r.averaged)]:
+                writer.writerow([r.config_name, fold] + [repr(x) for x in astuple(rt)])

@@ -116,6 +116,19 @@ def test_confusion_rejects_length_mismatch():
         confusion([Label.SPAM], [])
 
 
+def test_unlabeled_gold_message_is_an_error_not_a_false_alarm():
+    with pytest.raises(ValueError, match="gold label 1 is None, not a Label"):
+        confusion([Label.SPAM, None], [Label.SPAM, Label.SPAM])
+    labeled = synth_corpus(40, seed=3)
+    corpus = Corpus([*labeled.messages, Message(999, "[QC] mua ngay", None)])
+    with pytest.raises(ValueError, match="is None, not a Label"):
+        evaluate_baseline(corpus)
+    folds = stratified_kfold(labeled, k=5)
+    folds = FoldAssignment(k=5, fold_of={**folds.fold_of, 999: 0})
+    with pytest.raises(ValueError, match="is None, not a Label"):
+        cross_validate(corpus, folds, PipelineConfig(classifier="baseline"))
+
+
 # -- cross validation -----------------------------------------------------------
 
 
@@ -227,17 +240,19 @@ def test_run_grid_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_run_grid_starts_at_most_one_worker_per_config(small_corpus, monkeypatch):
-    # Under fork, ProcessPoolExecutor starts all max_workers processes up
-    # front, so a fake pool records the count and maps in this process.
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Under fork, ProcessPoolExecutor starts all max_workers processes up
+    front, so a fake pool records the count and the tasks, and maps in this
+    process. Returns the list of pools started."""
     import concurrent.futures
-    from dataclasses import replace
 
-    started = []
+    pools = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            self.max_workers, self.tasks = max_workers, []
+            pools.append(self)
 
         def __enter__(self):
             return self
@@ -246,14 +261,86 @@ def test_run_grid_starts_at_most_one_worker_per_config(small_corpus, monkeypatch
             return False
 
         def map(self, fn, tasks):
-            return map(fn, tasks)
+            self.tasks = list(tasks)
+            return map(fn, self.tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
+def test_run_grid_starts_at_most_one_worker_per_config(small_corpus, serial_pool):
+    from dataclasses import replace
+
     folds = stratified_kfold(small_corpus, k=2)
     grid = [replace(FAST, classifier="nb"), FAST]
     reports = run_grid(small_corpus, folds, grid, jobs=64)
-    assert started == [2]
+    assert [pool.max_workers for pool in serial_pool] == [2]
     assert reports == run_grid(small_corpus, folds, grid, jobs=1)
+
+
+def test_run_grid_runs_the_serial_grid_on_contiguous_chunks(serial_pool, monkeypatch):
+    from vnspam import evaluation
+
+    plans = []
+
+    class RecordingPlan(evaluation._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(evaluation, "_Plan", RecordingPlan)
+    corpus = synth_corpus(90, seed=4)
+    folds = stratified_kfold(corpus, k=3)
+    grid = reference_grid(PipelineConfig(epochs=2))
+    pooled = run_grid(corpus, folds, grid, jobs=4)
+    [pool] = serial_pool
+    assert pool.max_workers == 4
+    assert [len(chunk) for chunk in pool.tasks] == [2, 2, 2, 3]
+    assert [cfg for chunk in pool.tasks for cfg in chunk] == grid
+    assert len(plans) == 4  # one per chunk, each of which holds a trained config
+    assert all(p.kept == {} and not p.readers for p in plans)
+    assert pooled == run_grid(corpus, folds, grid, jobs=1)
+    assert [r.config_name for r in pooled] == [c.name for c in grid]
+
+
+def test_run_grid_pooled_raises_the_first_failing_config_in_grid_order():
+    from dataclasses import replace
+
+    corpus = synth_corpus(60, seed=3)
+    folds = stratified_kfold(corpus, k=2)
+    # nb (5th) rejects alpha=0 before dt (7th) rejects max_depth=0, and the
+    # two land in different chunks with jobs=4
+    grid = reference_grid(replace(PipelineConfig(epochs=2), alpha=0, max_depth=0))
+    with pytest.raises(ValueError) as serial:
+        run_grid(corpus, folds, grid, jobs=1)
+    with pytest.raises(ValueError) as pooled:
+        run_grid(corpus, folds, grid, jobs=4)
+    assert "alpha" in str(serial.value)
+    assert str(pooled.value) == str(serial.value)
+
+
+def test_each_fold_model_is_freed_before_the_next_fold_fits(small_corpus, monkeypatch):
+    import weakref
+
+    from vnspam import evaluation
+
+    real = evaluation._fit_rows
+    previous = []
+
+    def recording(*args):
+        # the last model must be dead before this fit starts
+        assert all(ref() is None for ref in previous)
+        fitted = real(*args)
+        previous.append(weakref.ref(fitted))
+        return fitted
+
+    monkeypatch.setattr(evaluation, "_fit_rows", recording)
+    folds = stratified_kfold(small_corpus, k=5)
+    cross_validate(small_corpus, folds, FAST)
+    assert len(previous) == 5
+    previous.clear()
+    run_grid(small_corpus, folds, reference_grid(PipelineConfig(epochs=2)))
+    assert len(previous) == 8 * 5
 
 
 def test_run_grid_rejects_bad_jobs(small_corpus):
@@ -380,7 +467,7 @@ def _decomposed(corpus):
 
 
 @pytest.mark.parametrize(
-    "case", ["jobs1", "jobs2", "nfc", "rules", "passes2", "min_df", "seed_epochs"]
+    "case", ["jobs1", "jobs2", "jobs4", "nfc", "rules", "passes2", "min_df", "seed_epochs"]
 )
 def test_run_grid_matches_unshared_loop(case, tmp_path):
     from dataclasses import replace
@@ -423,7 +510,7 @@ def test_run_grid_matches_unshared_loop(case, tmp_path):
             replace(base, classifier="lr", epochs=2),
             replace(base, classifier="lr"),
         ]
-    jobs = 2 if case == "jobs2" else 1
+    jobs = {"jobs2": 2, "jobs4": 4}.get(case, 1)
     write_csv(run_grid(corpus, folds, configs, rules, jobs=jobs), tmp_path / "shared.csv")
     write_csv(_unshared_grid(corpus, folds, configs, rules), tmp_path / "unshared.csv")
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "unshared.csv").read_bytes()
