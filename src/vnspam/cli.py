@@ -23,8 +23,8 @@ from .pipeline import (
     FittedPipeline,
     ModelFileError,
     PipelineConfig,
+    _normalize_all,
     fit_segmentation,
-    normalize,
 )
 from .preprocess import EntityRuleSet
 
@@ -208,7 +208,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
     config, rules, corpus = _inputs(args)
-    streams = [normalize(m.text, config, rules).tokens for m in corpus.messages]
+    streams = [n.tokens for n in _normalize_all(corpus.messages, config, rules)]
     models, streams = fit_segmentation(streams, config)
     if args.show_merges:
         for cm in models:

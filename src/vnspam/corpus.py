@@ -163,6 +163,13 @@ class FoldAssignment:
         return sorted(i for i, f in self.fold_of.items() if f == fold)
 
 
+def _require_labels(corpus: Corpus, action: str) -> None:
+    """Raise ValueError naming the ids of the corpus's unlabeled messages."""
+    unlabeled = [m.id for m in corpus.messages if m.label is None]
+    if unlabeled:
+        raise ValueError(f"cannot {action} unlabeled messages (ids {unlabeled[:5]})")
+
+
 def stratified_kfold(corpus: Corpus, k: int, seed: int = 42) -> FoldAssignment:
     """Deterministically split a corpus into k folds, stratified by label.
 
@@ -172,9 +179,7 @@ def stratified_kfold(corpus: Corpus, k: int, seed: int = 42) -> FoldAssignment:
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    unlabeled = [m.id for m in corpus.messages if m.label is None]
-    if unlabeled:
-        raise ValueError(f"cannot fold unlabeled messages (ids {unlabeled[:5]})")
+    _require_labels(corpus, "fold")
 
     rng = random.Random(seed)
     fold_sizes = [0] * k

@@ -9,8 +9,8 @@ from functools import partial
 from pathlib import Path
 
 from .classifiers import epoch_orders
-from .corpus import Corpus, FoldAssignment, Label
-from .pipeline import FittedPipeline, Normalized, PipelineConfig, _fit_rows, normalize
+from .corpus import Corpus, FoldAssignment, Label, _require_labels
+from .pipeline import FittedPipeline, PipelineConfig, _fit_rows, _normalize_all
 from .preprocess import EntityRuleSet
 
 __all__ = [
@@ -165,8 +165,8 @@ def cross_validate(
     config = config or PipelineConfig()
     config.validate()
     folds.validate()
-    ids = {m.id for m in corpus.messages}
-    if set(folds.fold_of) != ids:
+    _require_labels(corpus, "evaluate")
+    if set(folds.fold_of) != {m.id for m in corpus.messages}:
         raise ValueError("fold assignment does not cover exactly this corpus")
     if folds.k < 2:
         raise ValueError("need at least two folds")
@@ -174,7 +174,7 @@ def cross_validate(
     # The baseline rule reads only the NFC text, so its pass tags nothing.
     norm = replace(config, preprocess=False) if config.classifier == "baseline" else config
     plan = plan or _Plan(folds, [norm])
-    normalized = plan.get(_normalize_key(norm), lambda: _normalize_corpus(corpus, norm, rules))
+    rows = plan.get(_normalize_key(norm), lambda: _normalize_all(corpus.messages, norm, rules))
 
     outcomes = []
     for f in range(folds.k):
@@ -185,7 +185,7 @@ def cross_validate(
         if Label.SPAM not in gold or Label.LEGITIMATE not in gold:
             raise ValueError(f"fold {f} does not contain both classes")
         labels = [corpus.messages[i].label for i in training]
-        predicted = _fit_fold(f, training, labels, test, normalized, config, rules, plan)
+        predicted = _fit_fold(f, training, labels, test, rows, config, rules, plan)
         counts = confusion(gold, predicted)
         outcomes.append(FoldOutcome(fold=str(f), counts=counts, rates=rates(counts)))
     return _report(config.name, outcomes)
@@ -259,22 +259,12 @@ class _Plan:
         return plan
 
 
-def _normalize_corpus(corpus: Corpus, config: PipelineConfig, rules) -> list[Normalized]:
-    # The streams live until their last configuration; one str per distinct
-    # token keeps them about as small as the corpus text.
-    shared: dict[str, str] = {}
-    out = []
-    for m in corpus.messages:
-        text, tokens = normalize(m.text, config, rules)
-        out.append(Normalized(text, [shared.setdefault(t, t) for t in tokens]))
-    return out
-
-
 def evaluate_baseline(corpus: Corpus, config: PipelineConfig | None = None) -> EvalReport:
     """Score the untrained rule on the whole corpus (it has nothing to fit)."""
     config = config or PipelineConfig(classifier="baseline")
     if config.classifier != "baseline":
         raise ValueError("evaluate_baseline only handles the baseline classifier")
+    _require_labels(corpus, "evaluate")
     fitted = FittedPipeline.fit(corpus.messages, config)
     gold = [m.label for m in corpus.messages]
     if Label.SPAM not in gold or Label.LEGITIMATE not in gold:

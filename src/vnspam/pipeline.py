@@ -173,6 +173,17 @@ def normalize(
     return Normalized(text, text.split())
 
 
+def _normalize_all(messages, config: PipelineConfig, rules) -> list[Normalized]:
+    """``normalize`` each message's text, keeping one ``str`` per distinct
+    token: a corpus's rows then hold a string per term, not per occurrence."""
+    shared: dict[str, str] = {}
+    out = []
+    for m in messages:
+        text, tokens = normalize(m.text, config, rules)
+        out.append(Normalized(text, [shared.setdefault(t, t) for t in tokens]))
+    return out
+
+
 def fit_segmentation(
     streams, config: PipelineConfig
 ) -> tuple[list[CollocationModel], list[list[str]]]:
@@ -264,9 +275,8 @@ class FittedPipeline:
         messages = list(messages)
         if not messages:
             raise ValueError("cannot fit a pipeline on an empty corpus")
-        rows = []  # the rule baseline reads no stage output, so it skips normalize too
-        if config.classifier != "baseline":
-            rows = [normalize(m.text, config, rules) for m in messages]
+        # the rule baseline reads no stage output, so it skips normalize too
+        rows = [] if config.classifier == "baseline" else _normalize_all(messages, config, rules)
         stats = [len(messages), len({tok for n in rows for tok in n.text.split()}), 0]
 
         def plan(stage, build):

@@ -121,12 +121,31 @@ def test_unlabeled_gold_message_is_an_error_not_a_false_alarm():
         confusion([Label.SPAM, None], [Label.SPAM, Label.SPAM])
     labeled = synth_corpus(40, seed=3)
     corpus = Corpus([*labeled.messages, Message(999, "[QC] mua ngay", None)])
-    with pytest.raises(ValueError, match="is None, not a Label"):
+    named = r"cannot evaluate unlabeled messages \(ids \[999\]\)"
+    with pytest.raises(ValueError, match=named):
         evaluate_baseline(corpus)
     folds = stratified_kfold(labeled, k=5)
     folds = FoldAssignment(k=5, fold_of={**folds.fold_of, 999: 0})
-    with pytest.raises(ValueError, match="is None, not a Label"):
+    with pytest.raises(ValueError, match=named):
         cross_validate(corpus, folds, PipelineConfig(classifier="baseline"))
+
+
+@pytest.mark.parametrize("fold", [0, 4])
+def test_unlabeled_messages_are_named_by_id_on_every_path(fold):
+    # in fold 0 the message is only scored, in fold 4 it is also trained on
+    labeled = synth_corpus(40, seed=3)
+    corpus = Corpus([*labeled.messages, Message(999, "[QC] mua ngay", None)])
+    folds = stratified_kfold(labeled, k=5)
+    folds = FoldAssignment(k=5, fold_of={**folds.fold_of, 999: fold})
+    named = r"unlabeled messages \(ids \[999\]\)"
+    with pytest.raises(ValueError, match="cannot fold " + named):
+        stratified_kfold(corpus, k=5)
+    fast = PipelineConfig(min_df=1, epochs=2)
+    with pytest.raises(ValueError, match="cannot evaluate " + named):
+        cross_validate(corpus, folds, fast)
+    for configs, jobs in [([fast], 1), (reference_grid(fast), 1), (reference_grid(fast)[1:], 2)]:
+        with pytest.raises(ValueError, match="cannot evaluate " + named):
+            run_grid(corpus, folds, configs, jobs=jobs)
 
 
 # -- cross validation -----------------------------------------------------------

@@ -115,6 +115,49 @@ def test_fit_segmentation_keeps_one_str_per_distinct_token():
     assert len({id(t) for t in tokens}) == len(set(tokens)) == 3
 
 
+def test_fit_rows_keep_one_str_per_distinct_token(monkeypatch):
+    # fit keeps the normalized rows until it has featurized them
+    tokens = []
+    real = pipeline._fit_rows
+
+    def capture(rows, *args):
+        tokens.extend(t for n in rows for t in n.tokens)
+        return real(rows, *args)
+
+    monkeypatch.setattr(pipeline, "_fit_rows", capture)
+    FittedPipeline.fit(synth_corpus(60, seed=3).messages, FAST)
+    assert len(tokens) > 3 * len(set(tokens))
+    assert len({id(t) for t in tokens}) == len(set(tokens))
+
+
+def test_fit_evaluate_and_tokenize_normalize_in_the_one_pass(monkeypatch, tmp_path, capsys):
+    from vnspam import cli, cross_validate, evaluation, save_corpus, stratified_kfold
+
+    passes, calls = [], []
+    real_all, real_one = pipeline._normalize_all, pipeline.normalize
+
+    def counting_one(*args):
+        calls.append(args[0])
+        return real_one(*args)
+
+    def counting_all(messages, *args):
+        passes.append(len(messages))
+        return real_all(messages, *args)
+
+    monkeypatch.setattr(pipeline, "normalize", counting_one)
+    for module in (pipeline, evaluation, cli):
+        monkeypatch.setattr(module, "_normalize_all", counting_all)
+    corpus = synth_corpus(60, seed=3)
+    FittedPipeline.fit(corpus.messages, FAST)
+    cross_validate(corpus, stratified_kfold(corpus, k=3), FAST)
+    save_corpus(corpus, tmp_path / "corpus.tsv")
+    assert cli.main(["tokenize", str(tmp_path / "corpus.tsv")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 60
+    # one pass each, and every normalize call inside one of them
+    assert passes == [60, 60, 60]
+    assert len(calls) == 180
+
+
 def test_nfc_folds_decomposed_input():
     msgs = [
         Message(0, "khuyen mai ve xem phim", Label.SPAM),
