@@ -6,6 +6,9 @@ vector) returns a Prediction. Scores are posterior-like in [0, 1] for nb, lr,
 dt and knn (threshold 0.5) and a signed margin for svm (threshold 0). Ties on
 the threshold always resolve to Legitimate, which keeps the false-positive
 side conservative.
+
+Every float sum that reaches a model file or a score runs left to right from
+0.0, through _running_sum or an inline loop, never through sum().
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import nsmallest
 from itertools import chain, islice
-from operator import mul
 
 from .corpus import Label
 from .features import FeatureVector
@@ -293,6 +295,15 @@ def decision_score(model: TrainedModel, vector: FeatureVector) -> float:
     return _score_knn(model.params, vector, model.knn_postings)
 
 
+def _running_sum(terms) -> float:
+    """Add floats left to right from 0.0, as sum() does before Python 3.12;
+    the compensated sum() of 3.12+ would give other model bytes and scores."""
+    total = 0.0
+    for x in terms:
+        total += x
+    return total
+
+
 def _sigmoid(a: float) -> float:
     if a >= 0:
         return 1.0 / (1.0 + math.exp(-a))
@@ -316,8 +327,7 @@ def _train_nb(vectors, spam_flags, alpha: float, n_slots: int) -> dict:
     log_likelihood = {}
     for flag, key in ((1, "spam"), (0, "ham")):
         log_prior[key] = math.log(docs[flag] / total_docs)
-        total = sum(counts[flag])
-        denom = total + alpha * n_slots
+        denom = _running_sum(counts[flag]) + alpha * n_slots
         log_likelihood[key] = [math.log((c + alpha) / denom) for c in counts[flag]]
     return {
         "alpha": alpha,
@@ -363,11 +373,8 @@ def _train_linear(
     them. The weight vector is kept as scale * v so the per-step L2 shrink
     touches one float instead of every slot.
 
-    The weights are bit-identical to a plain loop that sums
-    ``v[i] * x for i, x in row``: the margin feeds the same products in the
-    same order into one sum(), which keeps them equal on Python 3.12+ too,
-    where sum() is compensated, and the logistic gradient is _sigmoid(-z)
-    inlined with its two branches unchanged.
+    The logistic gradient is _sigmoid(-z) inlined with its two branches
+    unchanged.
 
     Each epoch visits the rows in the next of ``orders``, by default
     ``epoch_orders(hp.seed, len(vectors), hp.epochs)``.
@@ -380,7 +387,6 @@ def _train_linear(
     dloss0 = 1.0 if hinge else _sigmoid(typical_w)
     t0 = 1.0 / (lam * (typical_w / max(1.0, dloss0)))
     v = [0.0] * n_slots
-    weight = v.__getitem__
     exp = math.exp
     scale = 1.0
     bias = 0.0
@@ -393,7 +399,10 @@ def _train_linear(
             eta = 1.0 / (lam * (t0 + t))
             row = rows[r]
             y = ys[r]
-            z = y * (scale * sum(map(mul, map(weight, row), row.values())) + bias)
+            dot = 0.0
+            for i, x in row.items():
+                dot += v[i] * x
+            z = y * (scale * dot + bias)
             scale *= 1.0 - eta * lam
             if hinge:
                 if not z < 1.0:
@@ -416,7 +425,10 @@ def _train_linear(
 
 def _margin(params: dict, vector: FeatureVector) -> float:
     w = params["weights"]
-    return sum(w[i] * x for i, x in vector.weights.items()) + params["bias"]
+    dot = 0.0
+    for i, x in vector.weights.items():
+        dot += w[i] * x
+    return dot + params["bias"]
 
 
 # -- CART decision tree --------------------------------------------------------
@@ -551,7 +563,7 @@ def _score_dt(params: dict, vector: FeatureVector) -> float:
 
 def _train_knn(vectors, spam_flags, k: int) -> dict:
     rows = [[[i, v] for i, v in vec.weights.items()] for vec in vectors]
-    norms = [math.sqrt(sum(v * v for _, v in row)) for row in rows]
+    norms = [math.sqrt(_running_sum(v * v for _, v in row)) for row in rows]
     return {
         "k": k,
         "rows": rows,
@@ -583,24 +595,22 @@ def _knn_neighbors(params: dict, vector: FeatureVector, postings=None) -> list[i
     given). Walking the query's slots in ascending order hands each row its
     products in its own stored order, so each dot product is the same sum a
     scan over every stored entry gives: the entries it skips add only 0.0,
-    which changes neither a plain nor a compensated float sum. The products
-    go through sum() rather than a running total because sum() compensates
-    from Python 3.12 on.
+    which leaves a running total unchanged.
     """
     items = vector.weights.items()
-    qn = math.sqrt(sum(v * v for _, v in items))
+    qn = math.sqrt(_running_sum(v * v for _, v in items))
     n = len(params["rows"])
     k = min(params["k"], n)
     if qn == 0.0:
         return list(range(k))
     if postings is None:
         postings = _knn_postings(params)
-    products: defaultdict[int, list[float]] = defaultdict(list)
+    products: defaultdict[int, float] = defaultdict(float)
     for i, qv in items:
         for r, v in postings.get(i, ()):
-            products[r].append(v * qv)
+            products[r] += v * qv
     norms = params["norms"]
-    scored = [(1.0 - sum(p) / (qn * norms[r]), r) for r, p in products.items()]
+    scored = [(1.0 - p / (qn * norms[r]), r) for r, p in products.items()]
     # Every untouched row is at distance 1.0; only the k lowest-indexed ones
     # can beat another row at that distance.
     untouched = (r for r in range(n) if r not in products)

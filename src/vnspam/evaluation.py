@@ -8,7 +8,7 @@ from dataclasses import astuple, dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from .classifiers import epoch_orders
+from .classifiers import _running_sum, epoch_orders
 from .corpus import Corpus, FoldAssignment, Label, _require_labels
 from .pipeline import FittedPipeline, PipelineConfig, _fit_rows, _normalize_all
 from .preprocess import EntityRuleSet
@@ -124,10 +124,10 @@ class EvalReport:
 def _average(outcomes) -> Rates:
     n = len(outcomes)
     return Rates(
-        tpr=sum(o.rates.tpr for o in outcomes) / n,
-        tnr=sum(o.rates.tnr for o in outcomes) / n,
-        fpr=sum(o.rates.fpr for o in outcomes) / n,
-        fnr=sum(o.rates.fnr for o in outcomes) / n,
+        tpr=_running_sum(o.rates.tpr for o in outcomes) / n,
+        tnr=_running_sum(o.rates.tnr for o in outcomes) / n,
+        fpr=_running_sum(o.rates.fpr for o in outcomes) / n,
+        fnr=_running_sum(o.rates.fnr for o in outcomes) / n,
     )
 
 

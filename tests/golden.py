@@ -6,14 +6,16 @@ preprocess on (60 configs). Each model is saved, and its digest covers the
 file's bytes and the ``repr`` of ``predict_text`` on a few held-out texts.
 The ``rates.csv`` of a small reference grid is hashed too.
 
-Model digests come in two families, because ``sum()`` is compensated from
-Python 3.12 on; the grid digest is the same on every supported version.
-A change that keeps bytes never regenerates the table. A change that moves
-bytes on purpose regenerates both families and says why. Runs without
-pytest, so every interpreter can print its own family:
+There is one table for every supported Python version. The learners and
+the fold means add floats in a running total from 0.0, left to right, never
+with ``sum()``, which is compensated from Python 3.12 on; so each version
+writes the same bytes. A change that keeps bytes never regenerates the
+table. A change that moves bytes on purpose regenerates it and says why.
+Runs without pytest, so any interpreter can check the table:
 
-    PYTHONPATH=src python tests/golden.py          # print this family's table
-    PYTHONPATH=src python tests/golden.py --write  # store it in golden_digests.json
+    PYTHONPATH=src python tests/golden.py          # print this interpreter's digests
+    PYTHONPATH=src python tests/golden.py --check  # exit 1 and name what moved
+    PYTHONPATH=src python tests/golden.py --write  # store them in golden_digests.json
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from vnspam import FittedPipeline, PipelineConfig, stratified_kfold
 from vnspam.evaluation import reference_grid, run_grid, write_csv
 
 TABLE = Path(__file__).with_name("golden_digests.json")
-FAMILY = "3.12+" if sys.version_info >= (3, 12) else "3.10-3.11"
 BASE = PipelineConfig(epochs=3, min_count=3)
 HELD_OUT = [m.text for m in synth_corpus(10, seed=8, tag_spam=True).messages] + [
     "",
@@ -90,15 +91,28 @@ def load() -> dict:
     return json.loads(TABLE.read_text(encoding="utf-8"))
 
 
+def moved(want: dict, got: dict) -> list[str]:
+    """Names whose digest differs between two tables or is in only one."""
+    return sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+
+
 def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         got = {"grid_rates_csv": grid_digest(Path(tmp)), "models": model_digests(Path(tmp))}
-    print(json.dumps({"family": FAMILY, **got}, indent=1))
+    if "--check" in argv:
+        version = sys.version.split()[0]
+        want = load()
+        names = moved(want["models"], got["models"])
+        if want["grid_rates_csv"] != got["grid_rates_csv"]:
+            names.append("grid_rates_csv")
+        if names:
+            print(f"Python {version}: {len(names)} digests moved from {TABLE.name}: {', '.join(names)}")
+            return 1
+        print(f"Python {version}: {len(got['models'])} model digests and the grid digest match {TABLE.name}")
+        return 0
+    print(json.dumps(got, indent=1, sort_keys=True))
     if "--write" in argv:
-        table = load() if TABLE.exists() else {"models": {}}
-        table["grid_rates_csv"] = got["grid_rates_csv"]
-        table["models"][FAMILY] = got["models"]
-        TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        TABLE.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {TABLE}")
     return 0
 

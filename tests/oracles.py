@@ -123,16 +123,24 @@ def knn_full_scan(params, vector) -> list[int]:
     """The knn neighbour search the inverted index replaced: every stored
     entry of every training row is multiplied by the query's value for its
     slot (0.0 when the query lacks it), with the same float operations in the
-    same order as the package's original code."""
+    same order as the package's original code. Each sum is a running total
+    from 0.0, as in the package, so the two agree bit for bit on every Python
+    version (sum() of floats is compensated from 3.12 on)."""
     q = vector.weights
-    qn = math.sqrt(sum(v * v for v in q.values()))
+    qq = 0.0
+    for v in q.values():
+        qq += v * v
+    qn = math.sqrt(qq)
     k = min(params["k"], len(params["rows"]))
     scored = []
     for idx, (row, rn) in enumerate(zip(params["rows"], params["norms"])):
         if qn == 0.0 or rn == 0.0:
             sim = 0.0
         else:
-            sim = sum(v * q.get(i, 0.0) for i, v in row) / (qn * rn)
+            dot = 0.0
+            for i, v in row:
+                dot += v * q.get(i, 0.0)
+            sim = dot / (qn * rn)
         scored.append((1.0 - sim, idx))
     return [idx for _, idx in nsmallest(k, scored)]
 
@@ -192,7 +200,8 @@ def _sigmoid(a: float) -> float:
 
 
 def train_linear_plain(vectors, spam_flags, n_slots: int, hp, loss: str) -> dict:
-    """svm/lr subgradient descent with a generator sum per margin."""
+    """svm/lr subgradient descent with a plain running-total margin, summed
+    left to right from 0.0 as in the package on every Python version."""
     lam = hp.reg_lambda
     rows = [list(vec.weights.items()) for vec in vectors]
     ys = [1.0 if f else -1.0 for f in spam_flags]
@@ -212,7 +221,10 @@ def train_linear_plain(vectors, spam_flags, n_slots: int, hp, loss: str) -> dict
             eta = 1.0 / (lam * (t0 + t))
             items = rows[r]
             y = ys[r]
-            z = y * (scale * sum(v[i] * x for i, x in items) + bias)
+            dot = 0.0
+            for i, x in items:
+                dot += v[i] * x
+            z = y * (scale * dot + bias)
             scale *= 1.0 - eta * lam
             if loss == "hinge":
                 g = 1.0 if z < 1.0 else 0.0

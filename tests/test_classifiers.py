@@ -673,3 +673,52 @@ def test_orders_of_the_wrong_shape_are_refused():
             train("svm", rows, labs, hp, orders=bad)
     with pytest.raises(ValueError, match="no visiting orders"):
         train("nb", rows, labs, hp, orders=good)
+
+
+# -- summation order ------------------------------------------------------------------
+# Every float sum in the learners is a running total from 0.0, left to right.
+# 1e16 + 1.0 rounds back to 1e16, so the products 1e16, 1.0, -1e16 in slot
+# order add up to 0.0 that way; a compensated sum (sum() from Python 3.12 on)
+# gives 1.0.
+
+_CANCEL = [1e16, 1.0, -1e16]
+_ONES = fv({0: 1.0, 1: 1.0, 2: 1.0}, 3)
+
+
+def _hand_model(kind, params, n_slots=3):
+    return TrainedModel(
+        kind=kind, params=params, n_slots=n_slots, has_length=False, vocab_fingerprint=None
+    )
+
+
+def test_linear_margin_sums_left_to_right():
+    from vnspam.classifiers import _sigmoid
+
+    assert math.fsum(_CANCEL) == 1.0
+    params = {"weights": _CANCEL, "bias": 0.25}
+    assert decision_score(_hand_model("svm", params), _ONES) == 0.0 + 0.25
+    assert decision_score(_hand_model("lr", params), _ONES) == _sigmoid(0.25)
+
+
+def test_nb_log_ratio_sums_left_to_right():
+    params = {
+        "alpha": 1.0,
+        "log_prior": {"spam": 0.0, "ham": 0.0},
+        "log_likelihood": {"spam": _CANCEL, "ham": [0.0, 0.0, 0.0]},
+    }
+    assert decision_score(_hand_model("nb", params), _ONES) == 0.5  # _sigmoid(0.0)
+
+
+def test_knn_dot_product_sums_left_to_right():
+    from vnspam.classifiers import _knn_neighbors
+
+    # Four 1.0 products between the two that cancel: a compensated sum of
+    # 4.0 puts row 1 at 1.0 - 2e-16, where one 1.0 would still round to 1.0.
+    row = {0: 1e8, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: -1e8}
+    query = {0: 1e8, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 1e8}
+    assert math.fsum(row[i] * query[i] for i in row) == 4.0
+    model = train("knn", [fv({6: 1.0}, 7), fv(row, 7)], labels([0, 1]), Hyperparams(k=1))
+    # The running total is 0.0, which puts row 1 at distance 1.0 like the
+    # untouched row 0, and the tie goes to the lower index.
+    assert _knn_neighbors(model.params, fv(query, 7)) == [0]
+    assert _knn_neighbors(model.params, fv(query, 7), model.knn_postings) == [0]

@@ -23,7 +23,7 @@ from vnspam import (
     stratified_kfold,
     write_csv,
 )
-from vnspam.evaluation import EvalReport, FoldOutcome, _report
+from vnspam.evaluation import FoldOutcome, _report
 from vnspam.preprocess import EntityRuleSet
 
 import oracles
@@ -395,25 +395,18 @@ def test_reference_grid_inherits_base_knobs():
 
 
 def fake_report(name, counts_list):
-    outcomes = []
-    for i, c in enumerate(counts_list):
-        outcomes.append(FoldOutcome(fold=str(i), counts=c, rates=rates(c)))
-    pooled = outcomes[0].counts
-    for o in outcomes[1:]:
-        pooled = pooled + o.counts
-    avg = Rates(
-        tpr=sum(o.rates.tpr for o in outcomes) / len(outcomes),
-        tnr=sum(o.rates.tnr for o in outcomes) / len(outcomes),
-        fpr=sum(o.rates.fpr for o in outcomes) / len(outcomes),
-        fnr=sum(o.rates.fnr for o in outcomes) / len(outcomes),
-    )
-    return EvalReport(
-        config_name=name,
-        per_fold=tuple(outcomes),
-        averaged=avg,
-        pooled_counts=pooled,
-        pooled=rates(pooled),
-    )
+    return _report(name, [FoldOutcome(str(i), c, rates(c)) for i, c in enumerate(counts_list)])
+
+
+def test_fold_average_is_a_left_to_right_running_total():
+    # 0.1 + 0.2 + 0.3 in fold order is 0.6000000000000001; a compensated sum
+    # (sum() from Python 3.12 on) gives 0.6, and a mean of 0.19999999999999998.
+    counts = ConfusionCounts(10, 10, 0, 0)
+    outcomes = [
+        FoldOutcome(str(i), counts, Rates(tpr=x, tnr=1.0, fpr=0.0, fnr=1.0 - x))
+        for i, x in enumerate((0.1, 0.2, 0.3))
+    ]
+    assert _report("nb-bow", outcomes).averaged.tpr == 0.20000000000000004
 
 
 def test_format_table_shows_percent_rates():

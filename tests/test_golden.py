@@ -7,10 +7,8 @@ import golden
 
 
 def test_model_files_match_the_golden_table(tmp_path):
-    want = golden.load()["models"][golden.FAMILY]
-    got = golden.model_digests(tmp_path)
-    moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
-    assert not moved, f"model bytes or predictions moved ({golden.FAMILY}): {moved}"
+    moved = golden.moved(golden.load()["models"], golden.model_digests(tmp_path))
+    assert not moved, f"model bytes or predictions moved: {moved}"
 
 
 def test_grid_rates_match_the_golden_digest(tmp_path):
