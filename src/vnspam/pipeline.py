@@ -2,9 +2,9 @@
 
 A FittedPipeline bundles everything prediction needs: the entity rules, the
 collocation models (one per segmentation pass), the vocabulary and the trained
-classifier. Model files are versioned JSON with sorted keys and a fixed float
-format, so the same fit always produces byte-identical bytes and files can be
-diffed.
+classifier. Model files are versioned JSON written by ``json.dump`` with sorted
+keys and shortest round-trip floats, so the same fit always produces
+byte-identical bytes, save/load/save reproduces them, and files can be diffed.
 """
 
 from __future__ import annotations
@@ -330,16 +330,20 @@ class FittedPipeline:
         """
         doc = self._to_doc()
         p = Path(path)
-        fd, tmp = tempfile.mkstemp(dir=str(p.parent) or ".", prefix=p.name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                _emit(doc, fh.write, 0)
-                fh.write("\n")
-            os.replace(tmp, p)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(dir=str(p.parent) or ".", prefix=p.name, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                    json.dump(doc, fh, indent=1, sort_keys=True, ensure_ascii=False, allow_nan=False)
+                    fh.write("\n")
+                os.replace(tmp, p)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        except OSError as exc:  # name the target, not the temp file
+            raise OSError(f"cannot write model file {p}: {exc.strerror or exc}") from exc
+        except (TypeError, ValueError) as exc:  # NaN, +-inf or an object json cannot encode
+            raise ModelFileError(f"cannot write model file {p}: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "FittedPipeline":
@@ -453,95 +457,8 @@ class FittedPipeline:
         return cls(config, rules, collocations, vocab, model, stats)
 
 
-# -- canonical JSON -----------------------------------------------------------
-
-
-def _dumps(value) -> str:
-    """Serialize with sorted keys and 17-significant-digit floats.
-
-    Parsing the output and serializing again reproduces the exact bytes,
-    which is what makes model files byte-stable across save/load cycles.
-    """
-    out: list[str] = []
-    _emit(value, out.append, 0)
-    return "".join(out)
-
-
-def _emit(value, write, depth: int) -> None:
-    """Pass the text of ``value`` at indent ``depth`` to ``write``, in pieces."""
-    pad = " " * depth
-    if value is None:
-        write("null")
-    elif value is True:
-        write("true")
-    elif value is False:
-        write("false")
-    elif isinstance(value, int):
-        write(str(value))
-    elif isinstance(value, float):
-        write(_format_float(value))
-    elif isinstance(value, str):
-        write(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        write("{\n")
-        keys = sorted(value)
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise ModelFileError(f"non-string key {key!r} in model document")
-            write(pad + " " + json.dumps(key, ensure_ascii=False) + ": ")
-            _emit(value[key], write, depth + 1)
-            write(",\n" if i < len(keys) - 1 else "\n")
-        write(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
-        if all(type(x) is int or type(x) is float for x in value):
-            # Weight vectors, likelihoods and norms: one string, not three per item.
-            sep = ",\n" + pad + " "
-            write("[\n" + pad + " " + sep.join(map(_format_number, value)) + "\n" + pad + "]")
-            return
-        if all(
-            type(x) is list and len(x) == 2 and type(x[0]) is int
-            and (type(x[1]) is int or type(x[1]) is float)
-            for x in value
-        ):
-            # A knn row of [index, value] pairs: one string, not a call per pair.
-            head = pad + " [\n" + pad + "  "
-            mid = ",\n" + pad + "  "
-            tail = "\n" + pad + " ]"
-            body = ",\n".join(
-                head + str(i) + mid + _format_number(v) + tail for i, v in value
-            )
-            write("[\n" + body + "\n" + pad + "]")
-            return
-        write("[\n")
-        for i, item in enumerate(value):
-            write(pad + " ")
-            _emit(item, write, depth + 1)
-            write(",\n" if i < len(value) - 1 else "\n")
-        write(pad + "]")
-    else:
-        raise ModelFileError(f"cannot serialize {type(value).__name__} in model document")
-
-
 def _finite_float(literal: str) -> float:
     f = float(literal)
     if not math.isfinite(f):
         raise ValueError(f"non-finite number {literal}")
     return f
-
-
-def _format_number(x: int | float) -> str:
-    return str(x) if type(x) is int else _format_float(x)
-
-
-def _format_float(f: float) -> str:
-    if math.isnan(f) or math.isinf(f):
-        raise ModelFileError("non-finite float in model document")
-    if f == 0.0:
-        return "0"
-    return format(f, ".17g")

@@ -8,7 +8,6 @@ from the package, so an agreement between the two is meaningful.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -418,62 +417,3 @@ def old_append_length(vector: OldFeatureVector, raw_text: str) -> OldFeatureVect
         length_feature=len(raw_text) / OLD_SMS_CAPACITY,
         vocab_fingerprint=vector.vocab_fingerprint,
     )
-
-
-# -- model-file JSON emitter ---------------------------------------------------
-
-
-def dumps_per_item(value) -> str:
-    """Sorted-key JSON with 17-significant-digit floats, one piece per token."""
-    out: list[str] = []
-    _emit(value, out, 0)
-    return "".join(out)
-
-
-def _emit(value, out: list[str], depth: int) -> None:
-    pad = " " * depth
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_format_float(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(value)
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise ValueError(f"non-string key {key!r} in model document")
-            out.append(pad + " " + json.dumps(key, ensure_ascii=False) + ": ")
-            _emit(value[key], out, depth + 1)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad + " ")
-            _emit(item, out, depth + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise ValueError(f"cannot serialize {type(value).__name__} in model document")
-
-
-def _format_float(f: float) -> str:
-    if math.isnan(f) or math.isinf(f):
-        raise ValueError("non-finite float in model document")
-    if f == 0.0:
-        return "0"
-    return format(f, ".17g")

@@ -182,11 +182,12 @@ def test_fold_invariants_hold_on_random_corpora():
         trials += 1
 
 
-def test_models_are_deterministic_and_roundtrip_stable(tmp_path):
+@pytest.mark.parametrize("kind", ["nb", "svm", "lr", "dt", "knn"])
+def test_models_are_deterministic_and_roundtrip_stable(kind, tmp_path):
     """The same fit writes byte-identical model files, and save/load/save
-    reproduces the bytes exactly."""
+    reproduces the bytes exactly, for every learner."""
     messages = synth_corpus(150, seed=606).messages
-    config = PipelineConfig()
+    config = PipelineConfig(classifier=kind)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     c = tmp_path / "c.json"

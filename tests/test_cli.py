@@ -75,6 +75,16 @@ def test_train_rejects_bad_hyperparams(tmp_path, corpus_path, capsys):
     assert "k must be" in capsys.readouterr().err
 
 
+def test_train_into_a_missing_directory_names_the_target(tmp_path, corpus_path, capsys):
+    target = tmp_path / "no" / "such" / "m.json"
+    rc = main(["train", str(corpus_path), "-o", str(target), *FAST_FLAGS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    # the temp file was never made, so the message names only the file asked for
+    assert err.startswith(f"error: cannot write model file {target}: ") and ".tmp" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.tsv"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--delta", "--colloc-threshold", "--alpha", "--lambda"])
 @pytest.mark.parametrize("command", ["train", "evaluate"])

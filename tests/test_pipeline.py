@@ -2,10 +2,9 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vnspam import (
     Corpus,
@@ -17,7 +16,6 @@ from vnspam import (
     predict,
 )
 from vnspam import classifiers, pipeline, preprocess
-from vnspam.pipeline import _dumps
 from vnspam.preprocess import ENTITY_GROUPS, EntityRuleSet
 
 from conftest import synth_corpus
@@ -228,14 +226,14 @@ def test_save_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
-@pytest.mark.parametrize("bad", [float("nan"), {1, 2}], ids=["nan", "set"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), {1, 2}], ids=["nan", "inf", "set"])
 def test_failed_save_keeps_the_old_file(tmp_path, bad):
     path = tmp_path / "m.json"
     fitted = fit_small()
     fitted.save(path)
     before = path.read_bytes()
-    # "model" sorts after "collocations", "config" and "entity_rules", so the
-    # emitter has already streamed part of the file when it meets the bad value
+    # "model" sorts after "collocations", "config" and "entity_rules", so
+    # json.dump has already streamed part of the file when it meets the bad value
     fitted.model.params["zz"] = bad
     with pytest.raises(ModelFileError):
         fitted.save(path)
@@ -307,82 +305,56 @@ def test_load_rejects_tampered_vocabulary(tmp_path):
         FittedPipeline.load(path)
 
 
-# -- canonical serialization ---------------------------------------------------------
+# -- model file text ----------------------------------------------------------------
 
 
-def test_dumps_normalizes_floats():
-    assert _dumps(-0.0) == "0"
-    assert _dumps(0.5) == "0.5"
-    assert _dumps(1.0 / 3.0) == format(1.0 / 3.0, ".17g")
-    with pytest.raises(ModelFileError, match="non-finite"):
-        _dumps(float("nan"))
-    with pytest.raises(ModelFileError, match="non-finite"):
-        _dumps(float("inf"))
+def test_save_writes_sorted_keys_and_round_trip_floats(tmp_path):
+    fitted = fit_small()
+    # -0.0 keeps its sign, 5.0 stays a float and 1/3 needs all of its digits
+    fitted.model.params["weights"][:3] = [-0.0, 5.0, 1.0 / 3.0]
+    fitted.model.params["bias"] = -0.0
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    fitted.save(a)
+    text = a.read_text(encoding="utf-8")
+    assert text.endswith("}\n")
+    assert '"bias": -0.0,\n' in text
+    assert '"weights": [\n    -0.0,\n    5.0,\n    0.3333333333333333,\n' in text
+    key_lists = []
+
+    def record_keys(pairs):
+        key_lists.append([k for k, _ in pairs])
+        return dict(pairs)
+
+    json.loads(text, object_pairs_hook=record_keys)
+    assert key_lists and all(keys == sorted(keys) for keys in key_lists)
+    loaded = FittedPipeline.load(a)
+    assert loaded.model.params["weights"][:3] == [-0.0, 5.0, 1.0 / 3.0]
+    assert [type(w) for w in loaded.model.params["weights"][:3]] == [float] * 3
+    assert str(loaded.model.params["bias"]) == "-0.0"
+    loaded.save(b)
+    assert a.read_bytes() == b.read_bytes()
 
 
-def test_dumps_sorts_keys_and_roundtrips():
-    doc = {"b": [1, 2.5, "x"], "a": {"y": None, "x": True}}
-    text = _dumps(doc)
-    assert text.index('"a"') < text.index('"b"')
-    parsed = json.loads(text)
-    assert parsed == doc
-    assert _dumps(parsed) == text
+V1 = Path(__file__).with_name("data") / "v1"
 
 
-def test_dumps_rejects_unserializable():
-    with pytest.raises(ModelFileError, match="cannot serialize"):
-        _dumps({"x": {1, 2}})
-    with pytest.raises(ModelFileError, match="non-string key"):
-        _dumps({1: "x"})
-
-
-# -- canonical JSON against the per-item emitter -------------------------------
-
-_JSON_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 1.0, 1, True, 0]),
-    st.text(max_size=4),
-)
-_NUMBERS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
-# knn rows are lists of [index, value] pairs. A row with one near miss among
-# its pairs must not take the pair path: a bool or float index, a bool value,
-# 1 or 3 items, a tuple, an empty list.
-_PAIR = st.tuples(st.integers(), _NUMBERS).map(list)
-_NOT_PAIR = st.one_of(
-    st.tuples(st.booleans(), _NUMBERS).map(list),
-    st.tuples(st.floats(allow_nan=False, allow_infinity=False), _NUMBERS).map(list),
-    st.tuples(st.integers(), st.booleans()).map(list),
-    st.tuples(st.integers()).map(list),
-    st.tuples(st.integers(), _NUMBERS, _NUMBERS).map(list),
-    st.tuples(st.integers(), _NUMBERS),
-    st.just([]),
-)
-_ROW_WITH_MISS = st.tuples(
-    st.lists(_PAIR, max_size=2), _NOT_PAIR, st.lists(_PAIR, max_size=2)
-).map(lambda t: [*t[0], t[1], *t[2]])
-_JSON_DOCS = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5),
-        st.lists(_NUMBERS),
-        st.lists(_PAIR, max_size=5),
-        st.lists(st.lists(_PAIR, max_size=3), max_size=3),
-        _ROW_WITH_MISS,
-        st.dictionaries(st.text(max_size=4), inner, max_size=5),
-        st.just([[]]),
-        st.just({"": {}}),
-    ),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_JSON_DOCS)
-def test_dumps_matches_per_item_emitter(doc):
-    assert _dumps(doc) == oracles.dumps_per_item(doc)
+@pytest.mark.parametrize("kind", ["nb", "svm", "lr", "dt", "knn"])
+def test_files_from_the_old_writer_still_load_and_predict(kind, tmp_path):
+    """``data/v1`` holds files from the writer that came before ``json.dump``:
+    floats as ``.17g`` and integral floats as bare ints. Each fixture was fitted
+    on ``synth_corpus(40, seed=3, tag_spam=True)`` (bow, ``min_df=1``,
+    ``min_count=2``, ``epochs=3``); its ``.tsv`` holds ``label<TAB>repr(score)``
+    for each line of ``held_out.txt``, as the loading code of that time gave them."""
+    held_out = (V1 / "held_out.txt").read_text(encoding="utf-8").split("\n")[:-1]
+    loaded = FittedPipeline.load(V1 / f"{kind}.json")
+    lines = [f"{p.label.token}\t{p.score!r}\n" for p in map(loaded.predict_text, held_out)]
+    assert "".join(lines) == (V1 / f"{kind}.tsv").read_text(encoding="utf-8")
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    loaded.save(a)
+    FittedPipeline.load(a).save(b)
+    assert a.read_bytes() == b.read_bytes()
 
 
 # -- fast fit path against the plain loops, end to end --------------------------
@@ -411,10 +383,7 @@ def test_fast_fit_path_writes_the_plain_loops_bytes(tmp_path, monkeypatch):
         paths = []
         for config in configs:
             path = tmp_path / f"{prefix}-{config.name}.json"
-            fitted = FittedPipeline.fit(messages, config)
-            fitted.save(path)
-            # save streams through pipeline._emit; hold its bytes to the per-item emitter
-            assert path.read_bytes() == (oracles.dumps_per_item(fitted._to_doc()) + "\n").encode("utf-8")
+            FittedPipeline.fit(messages, config).save(path)
             paths.append(path)
         return paths
 
