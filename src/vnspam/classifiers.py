@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import random
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import nsmallest
-from itertools import chain, islice
+from itertools import chain, compress, islice
+from operator import not_
 
 from .corpus import Label
 from .features import FeatureVector
@@ -378,9 +379,22 @@ def _train_linear(
 
     Each epoch visits the rows in the next of ``orders``, by default
     ``epoch_orders(hp.seed, len(vectors), hp.epochs)``.
+
+    Each row is read as a tuple of ``(slot, float(value))`` pairs and the
+    step counter ``t`` is a float, so every multiply and add in the loop is
+    float with float, which CPython specializes and float with int it does
+    not. The bits are the same: ``float * int`` converts the int exactly as
+    ``float()`` does, with one rounding to nearest, and ``t0 + t`` is exact
+    for an integral ``t`` below 2**53. Equal pairs are one tuple shared by
+    every row that holds them (stored values are never zero or NaN, so equal
+    means bit-identical), which keeps the copy to about one tuple per row.
     """
     lam = hp.reg_lambda
-    rows = [vec.weights for vec in vectors]
+    pairs: dict[tuple[int, float], tuple[int, float]] = {}
+    rows = []
+    for vec in vectors:
+        w = vec.weights
+        rows.append(tuple([pairs.setdefault(p, p) for p in zip(w, map(float, w.values()))]))
     ys = [1.0 if f else -1.0 for f in spam_flags]
     hinge = loss == "hinge"
     typical_w = math.sqrt(1.0 / math.sqrt(lam))
@@ -390,17 +404,17 @@ def _train_linear(
     exp = math.exp
     scale = 1.0
     bias = 0.0
-    t = 0
+    t = 0.0
     if orders is None:
         orders = epoch_orders(hp.seed, len(rows), hp.epochs)
     for order in orders:
         for r in order:
-            t += 1
+            t += 1.0
             eta = 1.0 / (lam * (t0 + t))
             row = rows[r]
             y = ys[r]
             dot = 0.0
-            for i, x in row.items():
+            for i, x in row:
                 dot += v[i] * x
             z = y * (scale * dot + bias)
             scale *= 1.0 - eta * lam
@@ -417,7 +431,7 @@ def _train_linear(
                 if g == 0.0:
                     continue
             coef = eta * y * g / scale
-            for i, x in row.items():
+            for i, x in row:
                 v[i] += coef * x
             bias += eta * y * g
     return {"weights": [scale * w for w in v], "bias": bias}
@@ -590,12 +604,17 @@ def _knn_neighbors(params: dict, vector: FeatureVector, postings=None) -> list[i
     """Indices of the k nearest training rows by cosine distance.
 
     Distance ties resolve to the lower training index. A zero-norm side makes
-    the similarity zero, i.e. maximal distance. Only rows sharing a slot with
-    the query are scored, through ``postings`` (built from params when not
-    given). Walking the query's slots in ascending order hands each row its
-    products in its own stored order, so each dot product is the same sum a
-    scan over every stored entry gives: the entries it skips add only 0.0,
-    which leaves a running total unchanged.
+    the similarity zero, i.e. maximal distance. The dot products build up in
+    one flat list of running totals from 0.0, one per row, through
+    ``postings`` (built from params when not given). Walking the query's
+    slots in ascending order hands each row its products in its own stored
+    order, so each dot product is the same sum a scan over every stored entry
+    gives: the entries it skips add only 0.0, which leaves a running total
+    unchanged. Each product keeps its operand types, so ints multiply
+    exactly. A zero or -0.0 dot product puts a row at distance exactly 1.0,
+    so only rows with a nonzero one are scored, next to the k lowest-indexed
+    other rows at 1.0. The cost is one pass over the rows, picked out by
+    ``compress``, plus the postings of the query's slots.
     """
     items = vector.weights.items()
     qn = math.sqrt(_running_sum(v * v for _, v in items))
@@ -605,16 +624,15 @@ def _knn_neighbors(params: dict, vector: FeatureVector, postings=None) -> list[i
         return list(range(k))
     if postings is None:
         postings = _knn_postings(params)
-    products: defaultdict[int, float] = defaultdict(float)
+    products = [0.0] * n
     for i, qv in items:
         for r, v in postings.get(i, ()):
             products[r] += v * qv
     norms = params["norms"]
-    scored = [(1.0 - p / (qn * norms[r]), r) for r, p in products.items()]
-    # Every untouched row is at distance 1.0; only the k lowest-indexed ones
-    # can beat another row at that distance.
-    untouched = (r for r in range(n) if r not in products)
-    scored.extend((1.0, r) for r in islice(untouched, k))
+    ids = range(n)
+    scored = [(1.0 - products[r] / (qn * norms[r]), r) for r in compress(ids, products)]
+    zero = compress(ids, map(not_, products))
+    scored.extend((1.0, r) for r in islice(zero, k))
     return [idx for _, idx in nsmallest(k, scored)]
 
 

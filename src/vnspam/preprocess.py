@@ -246,11 +246,12 @@ def segment(tokens, model: CollocationModel) -> list[str]:
     A merged pair is consumed whole, so each token joins at most one
     neighbor per pass. Splitting the output on ``_`` restores the input.
     """
+    merges = model.merges
     out: list[str] = []
     i = 0
     n = len(tokens)
     while i < n:
-        if i + 1 < n and model.should_merge(tokens[i], tokens[i + 1]):
+        if i + 1 < n and (tokens[i], tokens[i + 1]) in merges:
             out.append(tokens[i] + "_" + tokens[i + 1])
             i += 2
         else:

@@ -560,6 +560,29 @@ def test_knn_index_matches_full_scan(instance):
     assert _knn_neighbors(model.params, query, model.knn_postings) == want
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_knn_zero_products_tie_with_untouched_rows(k):
+    from vnspam.classifiers import _knn_neighbors
+
+    rows = [
+        fv({0: 1.0, 1: -1.0}, 2),  # its products 1.0 and -1.0 cancel to 0.0
+        fv({}, 2),  # zero norm
+        fv({1: 2}, 2),
+        fv({0: -1, 1: 1}, 2),  # int products that cancel
+        fv({0: 3, 1: 1}, 2),
+        fv({0: -2}, 2),  # negative product: beyond distance 1.0
+    ]
+    model = train("knn", rows, labels([1, 0, 1, 0, 1, 0]), Hyperparams(k=k))
+    assert model.params["rows"][0] == [[0, 1.0], [1, -1.0]]
+    query = fv({0: 1, 1: 1}, 2)
+    want = oracles.knn_full_scan(model.params, query)
+    # Rows 4 and 2 have positive products. Rows 0, 1 and 3 tie at 1.0 and
+    # rank by index, ahead of row 5's negative product.
+    assert want == [4, 2, 0, 1, 3, 5][:k]
+    assert _knn_neighbors(model.params, query) == want
+    assert _knn_neighbors(model.params, query, model.knn_postings) == want
+
+
 # -- fast fit loops against the plain loops they replaced ---------------------------
 
 
@@ -607,6 +630,27 @@ def test_linear_fit_matches_plain_loop(instance, loss):
     got = _train_linear(rows, flags, n_slots, hp, loss)
     want = oracles.train_linear_plain(rows, flags, n_slots, hp, loss)
     assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("loss", ["hinge", "logistic"])
+def test_linear_fit_matches_plain_loop_on_ints_beyond_2_53(loss):
+    # The fit reads each value as float(value); the plain loop multiplies
+    # float by int, which rounds the int the same way.
+    from vnspam.classifiers import _train_linear
+
+    big = 2**53 + 1
+    assert float(big) != big and float(big + 2) != big + 2
+    rows = [
+        fv({0: big, 1: 3}, 3),
+        fv({1: 1, 2: big + 2}, 3),
+        fv({0: 2, 2: 1}, 3),
+        fv({1: big}, 3),
+    ]
+    flags = [1, 0, 1, 0]
+    hp = Hyperparams(seed=3, epochs=3)
+    got = _train_linear(rows, flags, 3, hp, loss)
+    assert all(math.isfinite(w) for w in got["weights"]) and got["weights"] != [0.0] * 3
+    assert repr(got) == repr(oracles.train_linear_plain(rows, flags, 3, hp, loss))
 
 
 # Equal values of both types, repeated values, halves and a negative one.
