@@ -118,10 +118,10 @@ def load_corpus(path: str | Path) -> Corpus:
             raise CorpusError(f"{p}:{lineno}: unknown label {label_token!r}") from None
         if not body.strip():
             raise CorpusError(f"{p}:{lineno}: empty message text")
-        bad = [ch for ch in body if ch in _FORBIDDEN_IN_TEXT]
-        if bad:
+        if any(map(body.__contains__, _FORBIDDEN_IN_TEXT)):
+            bad = next(ch for ch in body if ch in _FORBIDDEN_IN_TEXT)
             raise CorpusError(
-                f"{p}:{lineno}: line-break character {bad[0]!r} inside message text"
+                f"{p}:{lineno}: line-break character {bad!r} inside message text"
             )
         messages.append(Message(id=len(messages), text=body, label=label))
     return Corpus(messages)

@@ -104,35 +104,57 @@ def build_vocabulary(docs, min_df: int = 1) -> Vocabulary:
     )
 
 
-def vectorize_bow(doc, vocab: Vocabulary) -> FeatureVector:
-    """Raw term counts. Out-of-vocabulary tokens are dropped."""
-    counts = Counter(vocab.index[tok] for tok in doc if tok in vocab.index)
-    return FeatureVector(
-        weights=dict(sorted(counts.items())), dim=len(vocab), vocab_fingerprint=vocab.fingerprint
-    )
+def _counts(doc, vocab: Vocabulary) -> list[tuple[int, int]]:
+    """(slot, count) of each in-vocabulary token, in ascending slot order."""
+    counts = Counter(map(vocab.index.get, doc))
+    counts.pop(None, None)  # out-of-vocabulary tokens
+    return sorted(counts.items())
 
 
-def vectorize_tfidf(doc, vocab: Vocabulary) -> FeatureVector:
+def _put_length(weights: dict, dim: int, length_text: str | None) -> bool:
+    """Store the length of ``length_text``, in SMS capacities, at slot dim;
+    ``None`` means the row has no length slot. Returns has_length."""
+    if length_text is None:
+        return False
+    if length_text:  # a zero length is not stored
+        weights[dim] = len(length_text) / SMS_CAPACITY
+    return True
+
+
+def vectorize_bow(doc, vocab: Vocabulary, length_text: str | None = None) -> FeatureVector:
+    """Raw term counts. Out-of-vocabulary tokens are dropped.
+
+    With ``length_text`` the row also holds that text's length at slot dim,
+    the same row ``append_length`` gives.
+    """
+    weights = dict(_counts(doc, vocab))
+    dim = len(vocab)
+    has_length = _put_length(weights, dim, length_text)
+    return FeatureVector(weights, dim, has_length, vocab.fingerprint)
+
+
+def vectorize_tfidf(doc, vocab: Vocabulary, length_text: str | None = None) -> FeatureVector:
     """Term count scaled by ln(num_docs / doc_freq), natural log, no smoothing.
 
     Terms present in every fitting document get weight zero and are omitted.
+    ``length_text`` fills slot dim as in ``vectorize_bow``.
     """
-    counts = Counter(vocab.index[tok] for tok in doc if tok in vocab.index)
+    n, doc_freq, terms = vocab.num_docs, vocab.doc_freq, vocab.terms
     weights = {}
-    for i, c in sorted(counts.items()):
-        df = vocab.doc_freq[vocab.terms[i]]
-        if df != vocab.num_docs:
-            weights[i] = c * math.log(vocab.num_docs / df)
-    return FeatureVector(
-        weights=weights, dim=len(vocab), vocab_fingerprint=vocab.fingerprint
-    )
+    for i, c in _counts(doc, vocab):
+        df = doc_freq[terms[i]]
+        if df != n:
+            weights[i] = c * math.log(n / df)
+    dim = len(vocab)
+    has_length = _put_length(weights, dim, length_text)
+    return FeatureVector(weights, dim, has_length, vocab.fingerprint)
 
 
 def append_length(vector: FeatureVector, raw_text: str) -> FeatureVector:
-    """Return a copy with the message length, in SMS capacities, at slot dim."""
+    """Return a copy with the message length, in SMS capacities, at slot dim.
+
+    ``vectorize_bow(doc, vocab, raw_text)`` builds the same row in one step.
+    """
     weights = dict(vector.weights)
-    if raw_text:  # a zero length is not stored
-        weights[vector.dim] = len(raw_text) / SMS_CAPACITY
-    return FeatureVector(
-        weights=weights, dim=vector.dim, has_length=True, vocab_fingerprint=vector.vocab_fingerprint
-    )
+    _put_length(weights, vector.dim, raw_text)
+    return FeatureVector(weights, vector.dim, True, vector.vocab_fingerprint)

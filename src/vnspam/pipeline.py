@@ -30,7 +30,6 @@ from .classifiers import (
 from .features import (
     FeatureVector,
     Vocabulary,
-    append_length,
     build_vocabulary,
     vectorize_bow,
     vectorize_tfidf,
@@ -64,6 +63,10 @@ class ModelFileError(ValueError):
     """Unreadable, unparseable, or wrongly versioned model file."""
 
 
+# PipelineConfig annotation -> accepted value types; an int is a valid float
+_FIELD_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything that determines a fit, so runs are reproducible.
@@ -92,7 +95,12 @@ class PipelineConfig:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            # every field goes into the model file, whichever learner reads it
+            # every field goes into the model file, whichever learner reads it;
+            # bool is an int subclass, so it passes only as a bool field
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"
+            ):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value}")
         if self.classifier not in KINDS:
@@ -207,13 +215,11 @@ def fit_segmentation(
 def _featurize(
     stream: list[str], text: str, vocab: Vocabulary, config: PipelineConfig
 ) -> FeatureVector:
-    """The featurize stage for one segmented message: counts or tf-idf over
-    ``vocab``, plus the length of ``text`` if ``config.length_feature``."""
+    """The featurize stage for one segmented message: one row of counts or
+    tf-idf over ``vocab``, plus the length of ``text`` if
+    ``config.length_feature``."""
     vectorize = vectorize_bow if config.representation == "bow" else vectorize_tfidf
-    vec = vectorize(stream, vocab)
-    if config.length_feature:
-        vec = append_length(vec, text)
-    return vec
+    return vectorize(stream, vocab, text if config.length_feature else None)
 
 
 def _fit_rows(

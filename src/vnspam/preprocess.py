@@ -78,6 +78,8 @@ class EntityRuleSet:
 
     def __init__(self, rules):
         self.rules = tuple(rules)
+        # (bound regex.sub, placeholder) per rule, in rule order, for tag_entities
+        self._subs = tuple((r.regex.sub, f"{_MARK}{r.group}{_MARK}") for r in self.rules)
 
     def __iter__(self):
         return iter(self.rules)
@@ -145,13 +147,17 @@ def tag_entities(text: str, rules: EntityRuleSet | None = None) -> str:
     if rules is None:
         rules = EntityRuleSet.default()
     s = text.replace(_MARK, " ")
-    s = _RESERVED_RE.sub(lambda m: f"{_MARK}{m.group(1).lower()}{_MARK}", s)
-    for rule in rules:
-        s = rule.regex.sub(f"{_MARK}{rule.group}{_MARK}", s)
+    # the reserved-token and placeholder passes run only when the fixed first
+    # character of their pattern is present
+    if "<" in s:
+        s = _RESERVED_RE.sub(lambda m: f"{_MARK}{m.group(1).lower()}{_MARK}", s)
+    for sub, mark in rules._subs:
+        s = sub(mark, s)
     s = _PUNCT_RE.sub(" ", s.lower())
     if "'" in s or "’" in s:
         s = _LOOSE_APOSTROPHE_RE.sub(" ", s)
-    s = _MARK_RE.sub(r" <\1> ", s)
+    if _MARK in s:
+        s = _MARK_RE.sub(r" <\1> ", s)
     return " ".join(s.split())
 
 

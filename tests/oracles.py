@@ -417,3 +417,23 @@ def old_append_length(vector: OldFeatureVector, raw_text: str) -> OldFeatureVect
         length_feature=len(raw_text) / OLD_SMS_CAPACITY,
         vocab_fingerprint=vector.vocab_fingerprint,
     )
+
+
+def two_row_featurize(doc, text, vocab, representation, length_feature):
+    """The featurize stage as two rows: counts or tf-idf first, then a copy
+    with the length of ``text`` appended at slot dim, as the pipeline once
+    built it. Returns (weights, dim, has_length, vocab_fingerprint)."""
+    counts = Counter(vocab.index[tok] for tok in doc if tok in vocab.index)
+    if representation == "bow":
+        weights = dict(sorted(counts.items()))
+    else:
+        weights = {}
+        for i, c in sorted(counts.items()):
+            df = vocab.doc_freq[vocab.terms[i]]
+            if df != vocab.num_docs:
+                weights[i] = c * math.log(vocab.num_docs / df)
+    if length_feature:
+        weights = dict(weights)
+        if text:
+            weights[len(vocab)] = len(text) / OLD_SMS_CAPACITY
+    return weights, len(vocab), length_feature, vocab.fingerprint

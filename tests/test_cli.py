@@ -328,6 +328,22 @@ def test_predict_rejects_bad_model_params(case, saved_models, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "field,value", [("nfc", "no"), ("min_df", 2.5), ("epochs", True), ("alpha", True)]
+)
+def test_predict_rejects_mistyped_config_field(field, value, saved_models, tmp_path, capsys):
+    doc = json.loads(saved_models["svm"].read_text(encoding="utf-8"))
+    doc["config"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFileError, match=f"{field} must be of type"):
+        FittedPipeline.load(path)
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 def _json_paths(node, path=()):
     """The key path of every value below a JSON document's root."""
     if isinstance(node, dict):

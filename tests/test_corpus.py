@@ -87,6 +87,14 @@ def test_stray_line_separator_rejected(tmp_path):
         load_corpus(p)
 
 
+def test_line_break_error_names_the_first_in_text_order(tmp_path):
+    # \u2029 comes after \x0b in the forbidden set but first in the text
+    p = write(tmp_path, "ham\tok\nspam\ta\u2029b\x0bc\n")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(p)
+    assert str(exc.value) == f"{p}:2: line-break character '\\u2029' inside message text"
+
+
 def test_save_load_round_trip(tmp_path):
     corpus = synth_corpus(60, seed=3)
     p = tmp_path / "rt.tsv"

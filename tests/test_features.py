@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnspam import Label, train
+from vnspam import Label, PipelineConfig, train
 from vnspam.features import (
     SMS_CAPACITY,
     FeatureVector,
@@ -17,6 +17,7 @@ from vnspam.features import (
     vectorize_bow,
     vectorize_tfidf,
 )
+from vnspam.pipeline import _featurize
 
 import oracles
 
@@ -146,7 +147,10 @@ def docs_and_vocabularies(draw):
     common = draw(st.lists(terms, max_size=2))
     docs = [common + d for d in draw(st.lists(st.lists(terms, max_size=6), min_size=1, max_size=6))]
     vocab = build_vocabulary(docs, min_df=draw(st.integers(1, 3)))
-    query = draw(st.lists(st.sampled_from("abcdefghz"), max_size=10))
+    # "z" is never in the vocabulary: the second strategy's streams are all out of it
+    query = draw(st.one_of(
+        st.lists(st.sampled_from("abcdefghz"), max_size=10), st.lists(st.just("z"), max_size=3)
+    ))
     text = draw(st.one_of(st.just(""), st.text(max_size=400)))
     return vocab, query, text
 
@@ -171,6 +175,24 @@ def test_weights_are_the_old_slot_items(instance, rep, length):
     assert repr(list(new.weights.items())) == repr(old.slot_items())  # repr keeps int apart from float
     assert new.n_slots == old.n_slots
     assert new.has_length is length
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs_and_vocabularies(),
+    st.sampled_from(["bow", "tfidf"]),
+    st.booleans(),
+)
+def test_featurize_builds_the_two_row_reference_in_one_row(instance, rep, length):
+    vocab, query, text = instance
+    config = PipelineConfig(representation=rep, length_feature=length)
+    vec = _featurize(query, text, vocab, config)
+    weights, dim, has_length, fingerprint = oracles.two_row_featurize(query, text, vocab, rep, length)
+    assert repr(list(vec.weights.items())) == repr(list(weights.items()))  # order and int/float
+    assert (vec.dim, vec.has_length, vec.vocab_fingerprint) == (dim, has_length, fingerprint)
+    vectorize = {"bow": vectorize_bow, "tfidf": vectorize_tfidf}[rep]
+    if length:  # append_length over the plain row gives the same row
+        assert append_length(vectorize(query, vocab), text) == vec
 
 
 def test_bow_counts():

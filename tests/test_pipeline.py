@@ -16,6 +16,7 @@ from vnspam import (
     predict,
 )
 from vnspam import classifiers, pipeline, preprocess
+from vnspam.features import FeatureVector
 from vnspam.preprocess import ENTITY_GROUPS, EntityRuleSet
 
 from conftest import synth_corpus
@@ -42,11 +43,22 @@ FAST = PipelineConfig(min_df=1, length_feature=False, epochs=5)
         (dict(classifier="knn", k=0), "k must"),
         (dict(classifier="nb", reg_lambda=float("nan")), "reg_lambda must be a finite"),
         (dict(classifier="svm", alpha=float("inf")), "alpha must be a finite"),
+        (dict(nfc="no"), "nfc must be of type bool, got 'no'"),
+        (dict(length_feature=1), "length_feature must be of type bool"),
+        (dict(min_df=2.5), "min_df must be of type int, got 2.5"),
+        (dict(epochs=True), "epochs must be of type int, got True"),
+        (dict(alpha=True), "alpha must be of type float, got True"),
+        (dict(discount="5"), "discount must be of type float"),
+        (dict(classifier=["svm"]), "classifier must be of type str"),
     ],
 )
 def test_config_validate_rejects(kwargs, needle):
     with pytest.raises(ValueError, match=needle):
         PipelineConfig(**kwargs).validate()
+
+
+def test_config_validate_takes_an_int_for_a_float_field():
+    PipelineConfig(discount=5, alpha=1, reg_lambda=1).validate()
 
 
 def test_config_names():
@@ -395,3 +407,26 @@ def test_fast_fit_path_writes_the_plain_loops_bytes(tmp_path, monkeypatch):
     plain = save_all("plain")
     for a, b in zip(shipped, plain):
         assert a.read_bytes() == b.read_bytes(), a.name
+
+
+@pytest.mark.parametrize("kind", ["nb", "svm", "lr", "dt", "knn"])
+@pytest.mark.parametrize("rep", ["bow", "tfidf"])
+def test_each_scored_message_builds_one_feature_vector(kind, rep, monkeypatch):
+    fitted = FittedPipeline.fit(
+        synth_corpus(120, seed=3).messages,
+        PipelineConfig(classifier=kind, representation=rep, min_df=1, epochs=2),
+    )
+    assert fitted.config.length_feature
+    built = []
+    check = FeatureVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(FeatureVector, "__post_init__", counting)
+    texts = [m.text for m in synth_corpus(30, seed=4).messages] + ["", "zzz qqq"]
+    for text in texts:
+        fitted.predict_text(text)
+    assert len(built) == len(texts)
+    assert all(v.has_length for v in built)

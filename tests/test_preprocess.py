@@ -156,6 +156,8 @@ _EDGE_PIECES = [
     "1'2", "a''b", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u202f", "\u3000",
     "\u2028", "\u200b", "\u0301", "e\u0301'x", "\u0663", "\u00b2", "\u0130'a",
     "<phone>", "<NUMBER>", "0912345678", "20/10/2016", ":)", "50k", "www.a.vn",
+    # near-miss reserved forms, which reach the "<" and mark guards in tag_entities
+    "<", ">", "<<date>>", "<Link", "phone>", "\x00date",
 ]
 
 _CUSTOM_RULES = EntityRuleSet([
@@ -226,6 +228,13 @@ def test_custom_rules_override(tmp_path):
     p.write_text("number\tx+\n", encoding="utf-8")
     rs = EntityRuleSet.from_file(p)
     assert tag_entities("axxxb 12", rs) == "a <number> b 12"
+
+
+def test_overlapping_rules_tag_in_rule_order():
+    phone, number = EntityRule("phone", r"\d{10}"), EntityRule("number", r"\d+")
+    text = "goi 0912345678"
+    assert tag_entities(text, EntityRuleSet([phone, number])) == "goi <phone>"
+    assert tag_entities(text, EntityRuleSet([number, phone])) == "goi <number>"
 
 
 def test_entity_rule_is_case_insensitive():
