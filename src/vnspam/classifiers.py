@@ -495,7 +495,10 @@ def _train_dt(vectors, spam_flags, max_depth: int) -> dict:
         nodes.append({"feature": f, "threshold": thr, "left": left, "right": right})
         return len(nodes) - 1
 
-    root = build(list(range(len(rows))), 0)
+    try:
+        root = build(list(range(len(rows))), 0)
+    finally:
+        del build  # its closure holds build itself: a cycle only gc would free
     return {"nodes": nodes, "root": root}
 
 

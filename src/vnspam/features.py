@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 __all__ = [
@@ -104,11 +103,24 @@ def build_vocabulary(docs, min_df: int = 1) -> Vocabulary:
     )
 
 
-def _counts(doc, vocab: Vocabulary) -> list[tuple[int, int]]:
-    """(slot, count) of each in-vocabulary token, in ascending slot order."""
-    counts = Counter(map(vocab.index.get, doc))
-    counts.pop(None, None)  # out-of-vocabulary tokens
-    return sorted(counts.items())
+def _counts(doc, vocab: Vocabulary) -> dict[int, int]:
+    """Slot -> count of each in-vocabulary token, keys in ascending slot order.
+
+    The slot ids are sorted once, so equal ids are adjacent: each key starts
+    at 1 and gains one per equal neighbour. This is the dict
+    ``dict(sorted(Counter(...).items()))`` gives, ``int`` values included,
+    without building a ``Counter``.
+    """
+    ids = [i for i in map(vocab.index.get, doc) if i is not None]  # drop OOV tokens
+    ids.sort()
+    counts = dict.fromkeys(ids, 1)
+    if len(counts) != len(ids):  # some slot repeats
+        prev = -1
+        for i in ids:
+            if i == prev:
+                counts[i] += 1
+            prev = i
+    return counts
 
 
 def _put_length(weights: dict, dim: int, length_text: str | None) -> bool:
@@ -127,7 +139,7 @@ def vectorize_bow(doc, vocab: Vocabulary, length_text: str | None = None) -> Fea
     With ``length_text`` the row also holds that text's length at slot dim,
     the same row ``append_length`` gives.
     """
-    weights = dict(_counts(doc, vocab))
+    weights = _counts(doc, vocab)
     dim = len(vocab)
     has_length = _put_length(weights, dim, length_text)
     return FeatureVector(weights, dim, has_length, vocab.fingerprint)
@@ -141,7 +153,7 @@ def vectorize_tfidf(doc, vocab: Vocabulary, length_text: str | None = None) -> F
     """
     n, doc_freq, terms = vocab.num_docs, vocab.doc_freq, vocab.terms
     weights = {}
-    for i, c in _counts(doc, vocab):
+    for i, c in _counts(doc, vocab).items():
         df = doc_freq[terms[i]]
         if df != n:
             weights[i] = c * math.log(n / df)

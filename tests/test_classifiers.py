@@ -697,6 +697,24 @@ def test_dt_memory_does_not_grow_with_depth():
     assert peak(20) <= 2 * peak(1)
 
 
+@pytest.mark.parametrize("kind", ["nb", "svm", "lr", "dt", "knn"])
+def test_fit_leaves_no_reference_cycle(kind):
+    # dt's recursive build closure refers to itself; left in place, that cycle
+    # keeps every row of the fit alive until the cyclic collector runs.
+    import gc
+
+    rng = random.Random(0)
+    vecs = [fv({rng.randrange(50): rng.randint(1, 3) for _ in range(8)}, 50) for _ in range(300)]
+    labs = labels([i % 3 == 0 for i in range(300)])
+    gc.collect()
+    gc.disable()
+    try:
+        train(kind, vecs, labs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @settings(max_examples=200, deadline=None)
 @given(linear_instances(), st.sampled_from(["svm", "lr"]))
 def test_precomputed_orders_train_the_same_params(instance, kind):

@@ -147,9 +147,12 @@ def docs_and_vocabularies(draw):
     common = draw(st.lists(terms, max_size=2))
     docs = [common + d for d in draw(st.lists(st.lists(terms, max_size=6), min_size=1, max_size=6))]
     vocab = build_vocabulary(docs, min_df=draw(st.integers(1, 3)))
-    # "z" is never in the vocabulary: the second strategy's streams are all out of it
+    # "z" is never in the vocabulary: the last strategy's streams are all out of
+    # it; the second repeats one token through the whole stream
     query = draw(st.one_of(
-        st.lists(st.sampled_from("abcdefghz"), max_size=10), st.lists(st.just("z"), max_size=3)
+        st.lists(st.sampled_from("abcdefghz"), max_size=30),
+        st.builds(lambda tok, n: [tok] * n, st.sampled_from("abcdefgh"), st.integers(0, 30)),
+        st.lists(st.just("z"), max_size=3),
     ))
     text = draw(st.one_of(st.just(""), st.text(max_size=400)))
     return vocab, query, text

@@ -158,6 +158,9 @@ _EDGE_PIECES = [
     "<phone>", "<NUMBER>", "0912345678", "20/10/2016", ":)", "50k", "www.a.vn",
     # near-miss reserved forms, which reach the "<" and mark guards in tag_entities
     "<", ">", "<<date>>", "<Link", "phone>", "\x00date",
+    # adjacent entities of every group, which meet in the placeholder pass
+    "20/10:)", "0912345678<3", "50k\x00date", ":)0912345678", "<3:)", "ab.vn:)", "12:30 50k",
+    "www.abc.vn :) 20/10 0912345678 50k 123",
 ]
 
 _CUSTOM_RULES = EntityRuleSet([
@@ -228,6 +231,22 @@ def test_custom_rules_override(tmp_path):
     p.write_text("number\tx+\n", encoding="utf-8")
     rs = EntityRuleSet.from_file(p)
     assert tag_entities("axxxb 12", rs) == "a <number> b 12"
+
+
+def test_custom_rules_for_every_group_tag_adjacent_entities():
+    # every group, in another order than the default rules, matched back to back
+    rules = EntityRuleSet(
+        EntityRule(group, pattern)
+        for group, pattern in [
+            ("number", r"#\d"), ("currency", r"\$\d"), ("phone", r"~\d"),
+            ("date", r"d\d"), ("emoticon", r"\^_\^"), ("link", r"@\w"),
+        ]
+    )
+    text = "#1$2~3d4^_^@x#5"
+    want = "<number> <currency> <phone> <date> <emoticon> <link> <number>"
+    compiled = [(r.group, r.regex) for r in rules]
+    assert oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS) == want
+    assert tag_entities(text, rules) == want
 
 
 def test_overlapping_rules_tag_in_rule_order():
