@@ -368,26 +368,12 @@ def _train_linear(
     """Deterministic subgradient descent on the L2-regularized loss with the
     1/(lambda*(t0+t)) step schedule.
 
-    t0 is the usual offset heuristic (first step sized for a weight vector of
-    typical norm), without which the opening steps of the bare 1/(lambda*t)
-    schedule are enormous and the unregularized bias never recovers from
-    them. The weight vector is kept as scale * v so the per-step L2 shrink
-    touches one float instead of every slot.
-
-    The logistic gradient is _sigmoid(-z) inlined with its two branches
-    unchanged.
-
-    Each epoch visits the rows in the next of ``orders``, by default
-    ``epoch_orders(hp.seed, len(vectors), hp.epochs)``.
-
-    Each row is read as a tuple of ``(slot, float(value))`` pairs and the
-    step counter ``t`` is a float, so every multiply and add in the loop is
-    float with float, which CPython specializes and float with int it does
-    not. The bits are the same: ``float * int`` converts the int exactly as
-    ``float()`` does, with one rounding to nearest, and ``t0 + t`` is exact
-    for an integral ``t`` below 2**53. Equal pairs are one tuple shared by
-    every row that holds them (stored values are never zero or NaN, so equal
-    means bit-identical), which keeps the copy to about one tuple per row.
+    t0 sizes the first step for a weight vector of typical norm, so the bias
+    survives the opening steps. The weights are kept as scale * v, so the L2
+    shrink touches one float. Each epoch visits the rows in the next of
+    ``orders``, by default ``epoch_orders(hp.seed, len(vectors), hp.epochs)``.
+    Rows are shared ``(slot, float(value))`` pairs and ``t`` is a float, so
+    the loop is float with float throughout, with the plain loop's bits.
     """
     lam = hp.reg_lambda
     pairs: dict[tuple[int, float], tuple[int, float]] = {}
@@ -454,19 +440,7 @@ def _train_dt(vectors, spam_flags, max_depth: int) -> dict:
 
     Gain ties resolve to the lowest feature index, then the lowest threshold.
     A node stops at purity, max_depth, fewer than two samples, or when no
-    split improves the impurity. Gain comparisons are done in exact integer
-    arithmetic (maximizing the gain is maximizing ((sl^2+hl^2)*nr +
-    (sr^2+hr^2)*nl) / (nl*nr), with (s^2+h^2)/n as the no-split baseline),
-    so the strict-improvement rule never hinges on float rounding.
-
-    Each node counts its entries with Counter, not one by one: entries equal
-    to 1, the bulk of bag-of-words rows, by feature, and the others by
-    (feature, value). A feature seen only with value 1 has the one candidate
-    threshold (0.0 + 1) / 2.0 = 0.5. The gain comparisons use the same
-    integer counts and every threshold is the same (a + b) / 2.0 of the same
-    sorted values, so the tree equals that of bucketing every entry in turn.
-    The one exception would be a float 1.0 and an int beyond 2**53 in one
-    feature, where the value-1 bucket's int key rounds differently.
+    split improves the impurity, compared in exact integer arithmetic.
     """
     rows = [vec.weights for vec in vectors]
     ones = [tuple(f for f, val in row.items() if val == 1) for row in rows]
@@ -606,18 +580,10 @@ def _knn_postings(params: dict) -> dict[int, list[tuple[int, float]]]:
 def _knn_neighbors(params: dict, vector: FeatureVector, postings=None) -> list[int]:
     """Indices of the k nearest training rows by cosine distance.
 
-    Distance ties resolve to the lower training index. A zero-norm side makes
-    the similarity zero, i.e. maximal distance. The dot products build up in
-    one flat list of running totals from 0.0, one per row, through
-    ``postings`` (built from params when not given). Walking the query's
-    slots in ascending order hands each row its products in its own stored
-    order, so each dot product is the same sum a scan over every stored entry
-    gives: the entries it skips add only 0.0, which leaves a running total
-    unchanged. Each product keeps its operand types, so ints multiply
-    exactly. A zero or -0.0 dot product puts a row at distance exactly 1.0,
-    so only rows with a nonzero one are scored, next to the k lowest-indexed
-    other rows at 1.0. The cost is one pass over the rows, picked out by
-    ``compress``, plus the postings of the query's slots.
+    Distance ties resolve to the lower training index, and a zero-norm side
+    puts a row at distance 1.0. Each dot product is a running total from 0.0
+    through ``postings`` (built from params when not given), equal to the sum
+    a scan over every stored entry gives.
     """
     items = vector.weights.items()
     qn = math.sqrt(_running_sum(v * v for _, v in items))

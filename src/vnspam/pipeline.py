@@ -80,17 +80,17 @@ class PipelineConfig:
     preprocess: bool = True
     min_df: int = 3
     length_feature: bool = True
-    seed: int = 42
+    seed: int = Hyperparams.seed
     discount: float = 5.0
     colloc_threshold: float = 1e-4
     min_count: int = 10
     passes: int = 1
     nfc: bool = False
-    alpha: float = 1.0
-    reg_lambda: float = 1e-4
-    epochs: int = 50
-    max_depth: int = 20
-    k: int = 5
+    alpha: float = Hyperparams.alpha
+    reg_lambda: float = Hyperparams.reg_lambda
+    epochs: int = Hyperparams.epochs
+    max_depth: int = Hyperparams.max_depth
+    k: int = Hyperparams.k
 
     def validate(self) -> None:
         for f in fields(self):
@@ -406,13 +406,7 @@ class FittedPipeline:
             "entity_rules": rules_rows,
             "collocations": colloc_docs,
             "vocabulary": vocab_doc,
-            "model": {
-                "kind": self.model.kind,
-                "n_slots": self.model.n_slots,
-                "has_length": self.model.has_length,
-                "vocab_fingerprint": self.model.vocab_fingerprint,
-                "params": self.model.params,
-            },
+            "model": {f.name: getattr(self.model, f.name) for f in fields(self.model)},
             "stats": {f.name: getattr(self.stats, f.name) for f in fields(self.stats)},
         }
 
@@ -420,9 +414,7 @@ class FittedPipeline:
     def _from_doc(cls, doc: dict) -> "FittedPipeline":
         config = PipelineConfig(**doc["config"])
         config.validate()
-        rules = EntityRuleSet(
-            EntityRule(group=g, pattern=p) for g, p in doc["entity_rules"]
-        )
+        rules = EntityRuleSet(EntityRule(group=g, pattern=p) for g, p in doc["entity_rules"])
         collocations = []
         for cd in doc["collocations"]:
             collocations.append(
@@ -438,14 +430,7 @@ class FittedPipeline:
         if doc["vocabulary"] is not None:
             vd = doc["vocabulary"]
             vocab = Vocabulary(vd["terms"], vd["doc_freq"], vd["num_docs"])
-        md = doc["model"]
-        model = TrainedModel(
-            kind=md["kind"],
-            params=md["params"],
-            n_slots=md["n_slots"],
-            has_length=md["has_length"],
-            vocab_fingerprint=md["vocab_fingerprint"],
-        )
+        model = TrainedModel(**{f.name: doc["model"][f.name] for f in fields(TrainedModel)})
         stats = FitStats(*(doc["stats"][f.name] for f in fields(FitStats)))
         if collocations and not config.preprocess:
             raise ValueError("collocation models stored without preprocessing")

@@ -76,13 +76,80 @@ class EntityRule:
         return f"<{self.group}>"
 
 
+# -- rule guards: as in Cox, "Regular Expression Matching with a Trigram Index"
+# (2012), a rule's parse tree names a character class every match must hold,
+# so a text with none of its characters cannot hold a match.
+_sre_parse = getattr(re, "_parser", None) or re.sre_parse  # sre_parse before 3.11
+_CATEGORY_TEXT = {v[1][0][1]: k for k, v in _sre_parse.CATEGORIES.items() if v[0].name == "IN"}
+
+
+def _rank(items) -> tuple[bool, int]:
+    """(holds a letter, members) of a class; a category counts 2**16 members."""
+    letters, size = False, 0
+    for op, av in items:
+        if op.name == "CATEGORY":
+            letters |= av.name not in ("CATEGORY_DIGIT", "CATEGORY_SPACE", "CATEGORY_NOT_WORD")
+            size += 1 << 16
+        else:
+            lo, hi = av if op.name == "RANGE" else (av, av)
+            letters |= any(chr(c).isalpha() for c in range(lo, min(hi, lo + 255) + 1))
+            size += hi - lo + 1
+    return letters, size
+
+
+def _required(nodes):
+    """Class items of which every match of ``nodes`` holds one, or None: of a
+    sequence's classes, the first with no letter, then with fewest members.
+    Raises ValueError on a node it cannot read."""
+    found = []
+    for op, av in nodes:
+        name = op.name
+        if name == "LITERAL":
+            found.append([(op, av)])
+        elif name == "IN":  # a negated class needs nothing
+            found.append(None if av[0][0].name == "NEGATE" else av)
+        elif name == "SUBPATTERN":  # nor a group with scoped flags
+            found.append(None if av[1] or av[2] else _required(av[3]))
+        elif name == "ATOMIC_GROUP":
+            found.append(_required(av))
+        elif name.endswith("_REPEAT"):  # nor a repeat that may match nothing
+            found.append(_required(av[2]) if av[0] else None)
+        elif name == "BRANCH":
+            parts = [_required(b) for b in av[1]]
+            found.append(None if None in parts else [i for p in parts for i in p])
+        elif name not in ("AT", "ASSERT", "ASSERT_NOT", "ANY", "NOT_LITERAL"):
+            raise ValueError(f"no guard through {name}")
+    return min(filter(None, found), key=_rank, default=None)
+
+
+def _class_text(item) -> str:
+    op, av = item
+    if op.name == "CATEGORY":
+        return _CATEGORY_TEXT[av]
+    lo, hi = map(re.escape, map(chr, av if op.name == "RANGE" else (av, av)))
+    return lo if lo == hi else f"{lo}-{hi}"
+
+
+def _guard(regex: re.Pattern):
+    """``search`` of a class every match of ``regex`` holds a character of,
+    or None when there is none or the pattern cannot be read."""
+    try:
+        items = _required(_sre_parse.parse(regex.pattern, regex.flags))
+        text = items and "".join(dict.fromkeys(map(_class_text, items)))
+        return re.compile(f"[{text}]", regex.flags).search if text else None
+    except Exception:  # a guard may only skip work: in doubt the rule runs
+        return None
+
+
 class EntityRuleSet:
     """Ordered entity rules; order is the tagging priority."""
 
     def __init__(self, rules):
         self.rules = tuple(rules)
-        # (bound regex.sub, placeholder) per rule, in rule order, for tag_entities
-        self._subs = tuple((r.regex.sub, f"{_MARK}{r.group}{_MARK}") for r in self.rules)
+        # (bound regex.sub, placeholder, guard or None) per rule for tag_entities
+        self._subs = tuple(
+            (r.regex.sub, f"{_MARK}{r.group}{_MARK}", _guard(r.regex)) for r in self.rules
+        )
 
     def __iter__(self):
         return iter(self.rules)
@@ -143,17 +210,8 @@ def tag_entities(text: str, rules: EntityRuleSet | None = None) -> str:
     greedy. Matched spans become reserved tokens. Everything else is
     lowercased, punctuation (except apostrophes inside a word) becomes a
     space, and whitespace runs collapse. Applying the function to its own
-    output is a no-op.
-
-    The two punctuation regexes give the same tokens as testing each
-    character with str.isalnum() and str.isspace(): on str patterns re's
-    word class is isalnum() plus "_", so [^\\W_] is exactly isalnum(), its
-    whitespace class is isspace(), which str.split() also uses, and the
-    first pass never rewrites an alphanumeric neighbour of an apostrophe.
-
-    The last pass turns each placeholder ``\\x00group\\x00`` into
-    ``" <group> "`` through a fixed table keyed by group, the same string the
-    template ``r" <\\1> "`` expands to, whatever the rule set.
+    output is a no-op. A rule runs only on a text that holds a character of
+    its guard class.
     """
     if rules is None:
         rules = EntityRuleSet.default()
@@ -162,8 +220,9 @@ def tag_entities(text: str, rules: EntityRuleSet | None = None) -> str:
     # character of their pattern is present
     if "<" in s:
         s = _RESERVED_RE.sub(lambda m: f"{_MARK}{m.group(1).lower()}{_MARK}", s)
-    for sub, mark in rules._subs:
-        s = sub(mark, s)
+    for sub, mark, guard in rules._subs:
+        if guard is None or guard(s):
+            s = sub(mark, s)
     s = _PUNCT_RE.sub(" ", s.lower())
     if "'" in s or "’" in s:
         s = _LOOSE_APOSTROPHE_RE.sub(" ", s)

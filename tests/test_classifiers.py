@@ -551,6 +551,11 @@ def knn_instances(draw):
 @settings(max_examples=400, deadline=None)
 @given(knn_instances())
 def test_knn_index_matches_full_scan(instance):
+    # _knn_neighbors walks the query's slots in ascending order, which hands
+    # each row its products in its own stored order, so each dot product is
+    # the sum the full scan gives: the entries it skips add only 0.0, which
+    # leaves a running total unchanged. Each product keeps its operand types,
+    # so ints multiply exactly.
     from vnspam.classifiers import _knn_neighbors
 
     rows, query, k = instance
@@ -562,6 +567,9 @@ def test_knn_index_matches_full_scan(instance):
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_knn_zero_products_tie_with_untouched_rows(k):
+    # A zero or -0.0 dot product puts a row at distance exactly 1.0, so
+    # _knn_neighbors scores only rows with a nonzero one, next to the k
+    # lowest-indexed other rows at 1.0.
     from vnspam.classifiers import _knn_neighbors
 
     rows = [
@@ -624,6 +632,13 @@ def linear_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(linear_instances(), st.sampled_from(["hinge", "logistic"]))
 def test_linear_fit_matches_plain_loop(instance, loss):
+    # _train_linear reads each row as (slot, float(value)) pairs and counts
+    # steps in a float t, so every multiply and add in its loop is float with
+    # float, which CPython specializes. The bits are the plain loop's:
+    # float * int converts the int exactly as float() does, with one rounding
+    # to nearest, and t0 + t is exact for an integral t below 2**53. Equal
+    # pairs are one tuple shared by every row that holds them; stored values
+    # are never zero or NaN, so equal means bit-identical.
     from vnspam.classifiers import _train_linear
 
     rows, flags, n_slots, hp = instance
@@ -666,6 +681,16 @@ def dt_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(dt_instances())
 def test_dt_fit_matches_plain_loop(instance):
+    # _train_dt compares gains in exact integers: maximizing the gain is
+    # maximizing ((sl^2+hl^2)*nr + (sr^2+hr^2)*nl) / (nl*nr), with
+    # (s^2+h^2)/n as the no-split baseline, so the strict-improvement rule
+    # never hinges on float rounding. Each node counts the entries equal to 1
+    # by feature and the others by (feature, value). A feature seen only with
+    # value 1 has the one threshold (0.0 + 1) / 2.0 = 0.5, and every other
+    # threshold is the same (a + b) / 2.0 of the same sorted values, so the
+    # tree is that of the plain loop, which buckets every entry in turn. The
+    # one exception would be a float 1.0 and an int beyond 2**53 in one
+    # feature, where the value-1 bucket's int key rounds differently.
     from vnspam.classifiers import _train_dt
 
     rows, flags, max_depth = instance

@@ -1,5 +1,6 @@
 """Entity tagging and collocation segmentation."""
 
+import inspect
 import random
 import sys
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vnspam
+from vnspam import preprocess
 from vnspam.pipeline import PipelineConfig, normalize
 from vnspam.preprocess import (
     ENTITY_GROUPS,
@@ -158,6 +160,9 @@ _EDGE_PIECES = [
     "<phone>", "<NUMBER>", "0912345678", "20/10/2016", ":)", "50k", "www.a.vn",
     # near-miss reserved forms, which reach the "<" and mark guards in tag_entities
     "<", ">", "<<date>>", "<Link", "phone>", "\x00date",
+    # letters whose case folding is special (the Kelvin sign folds to k, the
+    # long s to s, U+0130 lowercases to i) and the escaped class characters
+    "\u212a", "\u017f", "\u0130", "k", "s", "i", "]", "\\", "-", "^",
     # adjacent entities of every group, which meet in the placeholder pass
     "20/10:)", "0912345678<3", "50k\x00date", ":)0912345678", "<3:)", "ab.vn:)", "12:30 50k",
     "www.abc.vn :) 20/10 0912345678 50k 123",
@@ -177,9 +182,161 @@ _CUSTOM_RULES = EntityRuleSet([
     st.lists(st.one_of(st.sampled_from(_EDGE_PIECES), st.text(max_size=3))).map("".join),
 ))
 def test_tagging_matches_per_character_loop(rules, text):
+    # The two punctuation regexes give the tokens of testing each character
+    # with str.isalnum() and str.isspace(): on str patterns re's word class is
+    # isalnum() plus "_", so [^\W_] is exactly isalnum(), its whitespace class
+    # is isspace(), which str.split() also uses, and the first pass never
+    # rewrites an alphanumeric neighbour of an apostrophe. The placeholder pass
+    # looks each group up in a fixed table, the string the template
+    # r" <\1> " expands to, whatever the rule set.
     compiled = [(r.group, r.regex) for r in (rules or EntityRuleSet.default())]
     want = oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
     assert tag_entities(text, rules) == want
+
+
+# -- rule guards ----------------------------------------------------------------
+
+
+def _guard_text(pattern):
+    guard = EntityRuleSet([EntityRule("number", pattern)])._subs[0][2]
+    return guard and guard.__self__.pattern
+
+
+def test_default_rule_guards_are_pinned():
+    rules = EntityRuleSet.default()
+    got = {r.group: guard.__self__.pattern for r, (_, _, guard) in zip(rules, rules._subs)}
+    assert got == {
+        "link": r"[:\.]",
+        "emoticon": "[:;=<]",
+        "date": r"[/\.\-:]",
+        "phone": "[801]",
+        "currency": r"[\d]",
+        "number": r"[\d]",
+    }
+
+
+@pytest.mark.parametrize(
+    "pattern, want",
+    [
+        ("x+:", "[:]"),  # no letter beats fewer members
+        (r"\d{2}-\d", r"[\-]"),
+        ("(?:ab|c)d", "[d]"),  # one member beats the branch's two
+        (r"(?:\d|:)+", r"[\d:]"),
+        (r"(?<!\w)\b(?=x)k", "[k]"),  # zero-width nodes need nothing
+        (r"[\]\\\-^]", r"[\]\\\-\^]"),
+        ("x?\u212a", "[\u212a]"),  # the Kelvin sign, matched case-insensitively
+        pytest.param(
+            "(?>k)x*", "[k]", marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="3.11+")
+        ),
+    ],
+)
+def test_guard_class_follows_the_parse_tree(pattern, want):
+    assert _guard_text(pattern) == want
+
+
+@pytest.mark.parametrize(
+    "pattern", [r"\d*", "(?:a|)", "[^x]+", ".+", "(?-i:k)", r"(\d)\1+", "(a)?(?(1)b|c)"]
+)
+def test_rules_that_need_no_class_or_cannot_be_read_get_no_guard(pattern):
+    assert _guard_text(pattern) is None
+
+
+def test_rule_set_builds_unguarded_when_the_analysis_runs_out_of_stack():
+    rule = EntityRule("number", "(" * 150 + r"\d+" + ")" * 150)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)  # re's parser needs 2 frames a level
+    try:
+        rules = EntityRuleSet([rule])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rules._subs[0][2] is None
+    assert tag_entities("so 12", rules) == "so <number>"
+
+
+def test_rule_set_builds_unguarded_when_the_analysis_fails(monkeypatch):
+    def fail(nodes):
+        raise ValueError("no guard")
+
+    monkeypatch.setattr(preprocess, "_required", fail)
+    rules = EntityRuleSet(EntityRuleSet.default())
+    assert [guard for _, _, guard in rules._subs] == [None] * len(ENTITY_GROUPS)
+    text = "www.abc.vn :) 20/10 0912345678 50k 123"
+    assert tag_entities(text, rules) == tag_entities(text)
+
+
+# Rule patterns drawn from a small grammar: lookarounds and \b, optional,
+# bounded and unbounded repeats, nullable branches, backreferences, ".",
+# negated classes, scoped flags, the escaped class characters and letters
+# whose case folding is special. Unbounded repeats apply to single atoms
+# only, so no drawn pattern backtracks exponentially.
+_RULE_ATOMS = [
+    "a", "k", "K", "s", "i", "\u212a", "\u017f", "\u0130", "1", ":", r"\.", r"\-", r"\]",
+    r"\\", r"\^", r"\d", r"\w", r"\s", r"\S", ".", "[a-c]", "[^x]", r"[^\d:]", r"[\]\\\-^]",
+    "[k\u017f]", "[0-9:]", "[\u0130x]", "[K-S]",
+]
+_RULE_ANCHORS = [r"\b", r"\B", r"(?<![\w.])", r"(?<=\d)", r"(?=\w)", r"(?!k)", "^", "$"]
+_RULE_QUANTIFIERS = ["", "", "?", "*", "+", "+?", "{0,2}", "{2}"]
+
+
+@st.composite
+def _rule_trees(draw, depth=3):
+    # Hypothesis favours the ends of an integer range: an atom and a sequence.
+    kind = draw(st.integers(0, 9 if depth else 2))
+    if kind < 2:
+        return draw(st.sampled_from(_RULE_ATOMS)) + draw(st.sampled_from(_RULE_QUANTIFIERS))
+    if kind == 2:
+        return draw(st.sampled_from(_RULE_ANCHORS))
+    if kind in (3, 9):
+        return "".join(draw(_rule_trees(depth - 1)) for _ in range(draw(st.integers(2, 3))))
+    inner = draw(_rule_trees(depth - 1))
+    if kind == 4:
+        return "(?:%s|%s)" % (inner, draw(_rule_trees(depth - 1)))
+    if kind == 5:
+        return "(?:%s|)" % inner
+    if kind == 6:
+        return "(?:%s)%s" % (inner, draw(st.sampled_from(["?", "{0,2}", "{1,2}", "{2}"])))
+    return ("(%s)" if kind == 7 else "(?-i:%s)") % inner
+
+
+@st.composite
+def _rule_patterns(draw):
+    pattern = draw(_rule_trees())
+    if draw(st.integers(0, 7)) == 7:  # a backreference to the first group
+        pattern = "(%s)%s\\1" % (pattern, draw(_rule_trees(0)))
+    if draw(st.integers(0, 4)) == 4:
+        pattern = "(?a)" + pattern
+    return pattern
+
+
+def _compiles(pattern):
+    try:
+        EntityRule("number", pattern)
+    except ValueError:
+        return False
+    return True
+
+
+_GUARD_TEXT_PIECES = st.one_of(
+    st.sampled_from(_EDGE_PIECES + ["K", "S", "I", "\u0131", "42", ":", ".", "x", "ab", " "]),
+    st.text(max_size=2),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(ENTITY_GROUPS), _rule_patterns().filter(_compiles)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(_GUARD_TEXT_PIECES, max_size=10).map("".join),
+)
+def test_guarded_tagging_matches_every_rule_run(rule_rows, text):
+    rules = EntityRuleSet(EntityRule(group, pattern) for group, pattern in rule_rows)
+    for rule, (_, _, guard) in zip(rules, rules._subs):
+        assert guard is None or guard(text) or rule.regex.search(text) is None, rule
+    compiled = [(r.group, r.regex) for r in rules]
+    assert tag_entities(text, rules) == oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
 
 
 # -- rule files ---------------------------------------------------------------
