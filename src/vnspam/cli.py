@@ -172,10 +172,7 @@ def cmd_predict(args: argparse.Namespace, stdin=None) -> int:
     stream = stdin if stdin is not None else sys.stdin.buffer
     had_bad_lines = False
     out = sys.stdout
-    while True:
-        raw = stream.readline()
-        if not raw:
-            break
+    for raw in stream:
         if raw.endswith(b"\n"):
             raw = raw[:-1]
         if raw.endswith(b"\r"):

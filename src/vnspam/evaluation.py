@@ -8,9 +8,9 @@ from dataclasses import astuple, dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from .classifiers import _running_sum, epoch_orders
+from .classifiers import _running_sum, epoch_orders, rule_baseline
 from .corpus import Corpus, FoldAssignment, Label, _require_labels
-from .pipeline import FittedPipeline, PipelineConfig, _fit_rows, _normalize_all
+from .pipeline import PipelineConfig, _fit_rows, _nfc, _normalize_all
 from .preprocess import EntityRuleSet
 
 __all__ = [
@@ -265,11 +265,11 @@ def evaluate_baseline(corpus: Corpus, config: PipelineConfig | None = None) -> E
     if config.classifier != "baseline":
         raise ValueError("evaluate_baseline only handles the baseline classifier")
     _require_labels(corpus, "evaluate")
-    fitted = FittedPipeline.fit(corpus.messages, config)
+    config.validate()
     gold = [m.label for m in corpus.messages]
     if Label.SPAM not in gold or Label.LEGITIMATE not in gold:
         raise ValueError("corpus does not contain both classes")
-    predicted = [fitted.predict_text(m.text).label for m in corpus.messages]
+    predicted = [rule_baseline(_nfc(m.text, config)).label for m in corpus.messages]
     counts = confusion(gold, predicted)
     outcome = FoldOutcome(fold="all", counts=counts, rates=rates(counts))
     return _report(config.name, [outcome])

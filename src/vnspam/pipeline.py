@@ -324,7 +324,7 @@ class FittedPipeline:
     def predict_text(self, text: str) -> Prediction:
         """Label one raw message."""
         if self.config.classifier == "baseline":  # the rule reads only the text
-            return self._predict(Normalized(_nfc(text, self.config), []))
+            return rule_baseline(_nfc(text, self.config))
         return self._predict(normalize(text, self.config, self.rules))
 
     # -- persistence -----------------------------------------------------

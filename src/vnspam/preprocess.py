@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -28,11 +29,13 @@ __all__ = [
 ]
 
 ENTITY_GROUPS = ("link", "emoticon", "date", "phone", "currency", "number")
+_sre_parse = getattr(re, "_parser", None) or re.sre_parse  # sre_parse before 3.11
 
-# Internal placeholder wrapping: \x00group\x00. NUL cannot appear in rule
-# patterns, so later rules can never tear a placeholder apart.
+# Internal placeholder wrapping: \x00group\x00. Input NULs become spaces, but
+# a later rule can still match a mark (\x00, \S, \W, [^a]) and tear a
+# placeholder apart; the placeholder pass turns a bare mark into a space.
 _MARK = "\x00"
-_MARK_RE = re.compile("\x00(%s)\x00" % "|".join(ENTITY_GROUPS))
+_MARK_RE = re.compile("\x00(?:(%s)\x00)?" % "|".join(ENTITY_GROUPS))
 # Each placeholder's replacement. On Python 3.10 and 3.11, re expands the
 # template r" <\1> " in Python for every tagged message; a lookup is cheaper.
 _PLACEHOLDER_TOKENS = {group: f" <{group}> " for group in ENTITY_GROUPS}
@@ -63,9 +66,17 @@ class EntityRule:
             )
         try:
             regex = re.compile(self.pattern, re.IGNORECASE)
+            tree = _sre_parse.parse(self.pattern, regex.flags)  # kept for the guard
+            nullable = tree.getwidth()[0] == 0
         except (re.error, OverflowError, RecursionError) as exc:  # a{2**32}, deep nesting
             raise ValueError(f"bad pattern for group {self.group!r}: {exc}") from exc
+        if nullable:  # it would tag every gap between two characters
+            raise ValueError(f"pattern for group {self.group!r} can match the empty string")
         object.__setattr__(self, "_regex", regex)
+        object.__setattr__(self, "_tree", tree)
+
+    def __reduce__(self):  # a parse tree does not pickle, so a copy parses anew
+        return EntityRule, (self.group, self.pattern)
 
     @property
     def regex(self) -> re.Pattern:
@@ -79,7 +90,6 @@ class EntityRule:
 # -- rule guards: as in Cox, "Regular Expression Matching with a Trigram Index"
 # (2012), a rule's parse tree names a character class every match must hold,
 # so a text with none of its characters cannot hold a match.
-_sre_parse = getattr(re, "_parser", None) or re.sre_parse  # sre_parse before 3.11
 _CATEGORY_TEXT = {v[1][0][1]: k for k, v in _sre_parse.CATEGORIES.items() if v[0].name == "IN"}
 
 
@@ -130,13 +140,13 @@ def _class_text(item) -> str:
     return lo if lo == hi else f"{lo}-{hi}"
 
 
-def _guard(regex: re.Pattern):
-    """``search`` of a class every match of ``regex`` holds a character of,
+def _guard(rule: EntityRule):
+    """``search`` of a class every match of ``rule`` holds a character of,
     or None when there is none or the pattern cannot be read."""
     try:
-        items = _required(_sre_parse.parse(regex.pattern, regex.flags))
+        items = _required(rule._tree)
         text = items and "".join(dict.fromkeys(map(_class_text, items)))
-        return re.compile(f"[{text}]", regex.flags).search if text else None
+        return re.compile(f"[{text}]", rule.regex.flags).search if text else None
     except Exception:  # a guard may only skip work: in doubt the rule runs
         return None
 
@@ -148,7 +158,7 @@ class EntityRuleSet:
         self.rules = tuple(rules)
         # (bound regex.sub, placeholder, guard or None) per rule for tag_entities
         self._subs = tuple(
-            (r.regex.sub, f"{_MARK}{r.group}{_MARK}", _guard(r.regex)) for r in self.rules
+            (r.regex.sub, f"{_MARK}{r.group}{_MARK}", _guard(r)) for r in self.rules
         )
 
     def __iter__(self):
@@ -184,23 +194,14 @@ class EntityRuleSet:
         return cls.from_lines(text.splitlines(), source=str(p))
 
     @classmethod
+    @cache
     def default(cls) -> "EntityRuleSet":
-        global _DEFAULT_RULES
-        if _DEFAULT_RULES is None:
-            text = (
-                resources.files("vnspam")
-                .joinpath("data/entity_rules.tsv")
-                .read_text(encoding="utf-8")
-            )
-            _DEFAULT_RULES = cls.from_lines(text.splitlines(), source="entity_rules.tsv")
-        return _DEFAULT_RULES
-
-
-_DEFAULT_RULES: EntityRuleSet | None = None
+        text = resources.files("vnspam").joinpath("data/entity_rules.tsv").read_text(encoding="utf-8")
+        return cls.from_lines(text.splitlines(), source="entity_rules.tsv")
 
 
 def _placeholder_token(m: re.Match) -> str:
-    return _PLACEHOLDER_TOKENS[m[1]]
+    return _PLACEHOLDER_TOKENS.get(m[1], " ")  # a torn placeholder's bare mark
 
 
 def tag_entities(text: str, rules: EntityRuleSet | None = None) -> str:

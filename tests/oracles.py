@@ -313,7 +313,8 @@ def tag_entities_per_char(text: str, rules, groups) -> str:
     ``groups`` the tuple of entity group names.
     """
     mark = "\x00"
-    mark_re = re.compile("\x00(%s)\x00" % "|".join(groups))
+    # a bare mark is what a later rule left of a placeholder it tore apart
+    mark_re = re.compile("\x00(?:(%s)\x00)?" % "|".join(groups))
     reserved_re = re.compile("<(%s)>" % "|".join(groups), re.IGNORECASE)
     apostrophes = "'’"
     s = text.replace(mark, " ")
@@ -336,7 +337,7 @@ def tag_entities_per_char(text: str, rules, groups) -> str:
             out.append(ch)
         else:
             out.append(" ")
-    s = mark_re.sub(r" <\1> ", "".join(out))
+    s = mark_re.sub(lambda m: f" <{m[1]}> " if m[1] else " ", "".join(out))
     return " ".join(s.split())
 
 

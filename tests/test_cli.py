@@ -107,6 +107,15 @@ def test_rules_file_not_utf8_names_the_file(tmp_path, corpus_path, capsys):
     assert err.startswith("error: ") and str(rules) in err
 
 
+def test_rules_file_refuses_a_rule_that_can_match_the_empty_string(tmp_path, corpus_path, capsys):
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("number\t\\d*\n", encoding="utf-8")
+    rc = main(["tokenize", str(corpus_path), "--rules", str(rules)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {rules}:1: ") and "empty string" in err
+
+
 def test_unknown_flag_is_usage_error(corpus_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", str(corpus_path), "--frobnicate"])
@@ -342,6 +351,19 @@ def test_predict_rejects_mistyped_config_field(field, value, saved_models, tmp_p
     assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+def test_predict_refuses_a_model_rule_that_can_match_the_empty_string(
+    saved_models, tmp_path, capsys
+):
+    doc = json.loads(saved_models["svm"].read_text(encoding="utf-8"))
+    doc["entity_rules"].append(["number", "\\d*"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "empty string" in err
 
 
 def _json_paths(node, path=()):

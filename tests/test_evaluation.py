@@ -228,6 +228,36 @@ def test_baseline_runs_on_whole_corpus():
     assert total == 120
 
 
+@pytest.mark.parametrize("nfc", [False, True])
+def test_baseline_scores_without_a_pipeline_or_rules(nfc, monkeypatch):
+    from dataclasses import replace
+
+    corpus = _decomposed(synth_corpus(150, seed=5, tag_spam=True))
+    cfg = replace(PipelineConfig(nfc=nfc), classifier="baseline")
+    want = _unshared_baseline(corpus, cfg)
+    assert want != _unshared_baseline(corpus, replace(cfg, nfc=not nfc))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the baseline rule needs no pipeline")
+
+    monkeypatch.setattr(FittedPipeline, "fit", classmethod(fail))
+    monkeypatch.setattr(FittedPipeline, "predict_text", fail)
+    monkeypatch.setattr(EntityRuleSet, "default", classmethod(fail))
+    assert evaluate_baseline(corpus, cfg) == want
+
+
+def test_baseline_runner_rejects_bad_configs_and_empty_corpora(small_corpus):
+    from dataclasses import replace
+
+    with pytest.raises(ValueError, match="min-df"):
+        evaluate_baseline(small_corpus, PipelineConfig(classifier="baseline", min_df=0))
+    with pytest.raises(ValueError, match="both classes"):
+        evaluate_baseline(Corpus([]))
+    legit = Corpus([m for m in small_corpus.messages if m.label is Label.LEGITIMATE])
+    with pytest.raises(ValueError, match="both classes"):
+        evaluate_baseline(legit, replace(PipelineConfig(), classifier="baseline"))
+
+
 def test_baseline_runner_rejects_trained_kinds(small_corpus):
     with pytest.raises(ValueError, match="baseline"):
         evaluate_baseline(small_corpus, FAST)
@@ -457,10 +487,19 @@ def _unshared_cross_validate(corpus, folds, cfg, rules=None):
     return _report(cfg.name, outcomes)
 
 
+def _unshared_baseline(corpus, cfg):
+    """evaluate_baseline through a fitted pipeline: FittedPipeline.fit on the
+    whole corpus, then predict_text on each message."""
+    fitted = FittedPipeline.fit(corpus.messages, cfg)
+    predicted = [fitted.predict_text(m.text).label for m in corpus.messages]
+    counts = confusion([m.label for m in corpus.messages], predicted)
+    return _report(cfg.name, [FoldOutcome(fold="all", counts=counts, rates=rates(counts))])
+
+
 def _unshared_grid(corpus, folds, configs, rules=None):
     """The evaluation loop with no shared work, config by config."""
     return [
-        evaluate_baseline(corpus, cfg)
+        _unshared_baseline(corpus, cfg)
         if cfg.classifier == "baseline"
         else _unshared_cross_validate(corpus, folds, cfg, rules)
         for cfg in configs
@@ -469,10 +508,12 @@ def _unshared_grid(corpus, folds, configs, rules=None):
 
 def _decomposed(corpus):
     """Every third message spells "a" as "a" plus a combining grave accent,
-    which splits words unless NFC composes it first."""
+    which splits words unless NFC composes it first, and opens with "[QC"
+    plus a combining cedilla "]", an ad tag only until NFC composes "Ç"."""
     return Corpus(
         [
-            Message(m.id, m.text.replace("a", "a\u0300") if m.id % 3 == 0 else m.text, m.label)
+            Message(m.id, "[QC\u0327] " + m.text.replace("a", "a\u0300"), m.label)
+            if m.id % 3 == 0 else m
             for m in corpus.messages
         ]
     )

@@ -235,7 +235,8 @@ def test_guard_class_follows_the_parse_tree(pattern, want):
 
 
 @pytest.mark.parametrize(
-    "pattern", [r"\d*", "(?:a|)", "[^x]+", ".+", "(?-i:k)", r"(\d)\1+", "(a)?(?(1)b|c)"]
+    "pattern",
+    [r"\d*[^x]", "(?:a|)[^x]", "[^x]+", ".+", "(?-i:k)", r"(\d)\1+", "(a)?(?(1)b|c)"],
 )
 def test_rules_that_need_no_class_or_cannot_be_read_get_no_guard(pattern):
     assert _guard_text(pattern) is None
@@ -268,7 +269,8 @@ def test_rule_set_builds_unguarded_when_the_analysis_fails(monkeypatch):
 # bounded and unbounded repeats, nullable branches, backreferences, ".",
 # negated classes, scoped flags, the escaped class characters and letters
 # whose case folding is special. Unbounded repeats apply to single atoms
-# only, so no drawn pattern backtracks exponentially.
+# only, so no drawn pattern backtracks exponentially. A pattern that can match
+# the empty string, which a rule may not be, gets one more atom.
 _RULE_ATOMS = [
     "a", "k", "K", "s", "i", "\u212a", "\u017f", "\u0130", "1", ":", r"\.", r"\-", r"\]",
     r"\\", r"\^", r"\d", r"\w", r"\s", r"\S", ".", "[a-c]", "[^x]", r"[^\d:]", r"[\]\\\-^]",
@@ -305,7 +307,16 @@ def _rule_patterns(draw):
         pattern = "(%s)%s\\1" % (pattern, draw(_rule_trees(0)))
     if draw(st.integers(0, 4)) == 4:
         pattern = "(?a)" + pattern
+    if _min_width(pattern) == 0:  # refused as a rule: one more atom makes it need a character
+        pattern += draw(st.sampled_from(_RULE_ATOMS))
     return pattern
+
+
+def _min_width(pattern):
+    try:
+        return preprocess._sre_parse.parse(pattern).getwidth()[0]
+    except Exception:  # not a pattern; the _compiles filter drops it
+        return None
 
 
 def _compiles(pattern):
@@ -336,7 +347,26 @@ def test_guarded_tagging_matches_every_rule_run(rule_rows, text):
     for rule, (_, _, guard) in zip(rules, rules._subs):
         assert guard is None or guard(text) or rule.regex.search(text) is None, rule
     compiled = [(r.group, r.regex) for r in rules]
-    assert tag_entities(text, rules) == oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
+    got = tag_entities(text, rules)
+    assert got == oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
+    assert "\x00" not in got
+
+
+@pytest.mark.parametrize(
+    "rows, text, want",
+    [
+        # the number rule eats "\x00phone" and leaves the phone's closing mark
+        ([("phone", r"\d{3}"), ("number", r"\x00\w+")], "goi 123 nhe", "goi <number> nhe"),
+        # the number rule takes the group name out from between the link's marks
+        ([("link", r"www\.\S+"), ("number", r"\b[a-m]\w*")], "xem www.abc.vn nhe", "xem <number> nhe"),
+    ],
+    ids=["mark-eaten", "group-name-eaten"],
+)
+def test_torn_placeholder_marks_become_spaces(rows, text, want):
+    rules = EntityRuleSet(EntityRule(group, pattern) for group, pattern in rows)
+    compiled = [(r.group, r.regex) for r in rules]
+    assert oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS) == want
+    assert tag_entities(text, rules) == want
 
 
 # -- rule files ---------------------------------------------------------------
@@ -365,6 +395,24 @@ def test_rules_reject_pattern_re_cannot_compile(pattern):
     # re.compile raises OverflowError and RecursionError here, not re.error
     with pytest.raises(ValueError, match="bad pattern"):
         EntityRuleSet.from_lines(["number\t" + pattern])
+
+
+@pytest.mark.parametrize("pattern", [r"\d*", "(?:a|)", r"\b", "(?=x)", "x?", "(?!)", r"(\d*)\1"])
+def test_rules_reject_patterns_that_can_match_the_empty_string(pattern):
+    with pytest.raises(ValueError, match=r"myfile:2: .*'number' can match the empty string"):
+        EntityRuleSet.from_lines(["# c", "number\t" + pattern], source="myfile")
+
+
+def test_rules_pickle_with_their_guards():
+    import pickle
+
+    def guards(rules):
+        return [guard and guard.__self__.pattern for _, _, guard in rules._subs]
+
+    rules = pickle.loads(pickle.dumps(EntityRuleSet.default()))
+    assert rules.rules == EntityRuleSet.default().rules
+    # EntityRuleSet(rules) reads the parse tree each unpickled rule made anew
+    assert guards(rules) == guards(EntityRuleSet(rules)) == guards(EntityRuleSet.default())
 
 
 def test_rules_reject_missing_tab():
