@@ -42,16 +42,13 @@ _PLACEHOLDER_TOKENS = {group: f" <{group}> " for group in ENTITY_GROUPS}
 
 # Literal reserved tokens already present in the input (for instance in the
 # output of a previous tag_entities call) pass through unchanged. This is what
-# makes tagging idempotent; any other angle bracket is plain punctuation.
+# makes tagging idempotent; any other angle bracket is plain punctuation. The
+# spaces around each one keep a rule such as \S+ from running into it.
 _RESERVED_RE = re.compile("<(%s)>" % "|".join(ENTITY_GROUPS), re.IGNORECASE)
 
-# Characters that become spaces: everything but NUL (placeholder marks),
-# word characters other than "_", whitespace and apostrophes. A run of them
-# becomes one space, which the final whitespace split cannot tell apart.
-_PUNCT_RE = re.compile(r"(?:[^\w\s\x00'’]|_)+")
-# An apostrophe survives only between two alphanumeric characters; [^\W_]
-# is exactly str.isalnum().
-_LOOSE_APOSTROPHE_RE = re.compile(r"(?<![^\W_])['’]|['’](?![^\W_])")
+# Output tokens: reserved tokens and runs of alphanumerics ([^\W_] is exactly
+# str.isalnum()) joined by single apostrophes. All else separates tokens.
+_TOKEN_RE = re.compile(r"<(?:%s)>|[^\W_]+(?:['’][^\W_]+)*" % "|".join(ENTITY_GROUPS))
 
 
 @dataclass(frozen=True)
@@ -88,15 +85,16 @@ class EntityRule:
 
 
 # -- rule guards: as in Cox, "Regular Expression Matching with a Trigram Index"
-# (2012), a rule's parse tree names a character class every match must hold,
-# so a text with none of its characters cannot hold a match.
+# (2012), a rule's parse tree names characters every match must hold; with the
+# first and last positions of Berry & Sethi, "From regular expressions to
+# deterministic automata" (1986), it also names pairs of adjacent classes.
 _CATEGORY_TEXT = {v[1][0][1]: k for k, v in _sre_parse.CATEGORIES.items() if v[0].name == "IN"}
 
 
 def _rank(items) -> tuple[bool, int]:
     """(holds a letter, members) of a class; a category counts 2**16 members."""
     letters, size = False, 0
-    for op, av in items:
+    for op, av in dict.fromkeys(items):
         if op.name == "CATEGORY":
             letters |= av.name not in ("CATEGORY_DIGIT", "CATEGORY_SPACE", "CATEGORY_NOT_WORD")
             size += 1 << 16
@@ -107,46 +105,92 @@ def _rank(items) -> tuple[bool, int]:
     return letters, size
 
 
-def _required(nodes):
-    """Class items of which every match of ``nodes`` holds one, or None: of a
-    sequence's classes, the first with no letter, then with fewest members.
-    Raises ValueError on a node it cannot read."""
-    found = []
+def _pair_rank(pairs) -> tuple[bool, int]:
+    """(a side holds a letter, sum of member products) of a list of class pairs."""
+    ranks = [_rank(a) + _rank(b) for a, b in pairs]
+    return any(la or lb for la, _, lb, _ in ranks), sum(na * nb for _, na, _, nb in ranks)
+
+
+def _edge(parts, k):
+    """Union of the parts' k-th sets (first or last) up to the first part
+    that cannot match empty; None if one of them is None."""
+    items = []
+    for part in parts:
+        if part[k] is None:
+            return None
+        items += part[k]
+        if not part[0]:
+            break
+    return items
+
+
+def _walk(nodes):
+    """Read a parse-tree sequence as (nullable, first, last, class, pairs).
+
+    first, last: class items of a nonempty match's first and last character,
+    None if it can be any. class: items every match holds a character of.
+    pairs: (A, B) item lists, one of which every match holds as adjacent
+    characters. Each of the last two is None when there is none, else the
+    least by rank. Raises ValueError on a node it cannot read."""
+    parts = []
     for op, av in nodes:
         name = op.name
-        if name == "LITERAL":
-            found.append([(op, av)])
-        elif name == "IN":  # a negated class needs nothing
-            found.append(None if av[0][0].name == "NEGATE" else av)
-        elif name == "SUBPATTERN":  # nor a group with scoped flags
-            found.append(None if av[1] or av[2] else _required(av[3]))
+        if name == "LITERAL" or (name == "IN" and av[0][0].name != "NEGATE"):
+            items = [(op, av)] if name == "LITERAL" else av
+            parts.append((False, items, items, items, None))
+        elif name in ("ANY", "NOT_LITERAL", "IN"):  # a negated class needs nothing
+            parts.append((False, None, None, None, None))
+        elif name in ("AT", "ASSERT", "ASSERT_NOT"):  # zero-width: its neighbours meet
+            parts.append((True, [], [], None, None))
+        elif name == "SUBPATTERN":  # nor a group with scoped flags: read as any text
+            parts.append((True, None, None, None, None) if av[1] or av[2] else _walk(av[3]))
         elif name == "ATOMIC_GROUP":
-            found.append(_required(av))
+            parts.append(_walk(av))
         elif name.endswith("_REPEAT"):  # nor a repeat that may match nothing
-            found.append(_required(av[2]) if av[0] else None)
+            nullable, first, last, cls, pairs = _walk(av[2])
+            if not av[0]:
+                nullable, cls, pairs = True, None, None
+            elif av[0] >= 2 and not nullable and first and last:  # two bodies meet
+                pairs = min(filter(None, (pairs, [(last, first)])), key=_pair_rank)
+            parts.append((nullable, first, last, cls, pairs))
         elif name == "BRANCH":
-            parts = [_required(b) for b in av[1]]
-            found.append(None if None in parts else [i for p in parts for i in p])
-        elif name not in ("AT", "ASSERT", "ASSERT_NOT", "ANY", "NOT_LITERAL"):
+            nullable, *cols = zip(*(_walk(b) for b in av[1]))  # each set is a union
+            parts.append((any(nullable), *(None if None in c else sum(c, []) for c in cols)))
+        else:
             raise ValueError(f"no guard through {name}")
-    return min(filter(None, found), key=_rank, default=None)
+    solid = [i for i, part in enumerate(parts) if not part[0]]
+    pairs = []
+    for i, part in enumerate(parts):
+        pairs.append(part[4])
+        if solid and solid[0] <= i < solid[-1]:  # neither side of the split can match empty
+            last, first = _edge(reversed(parts[: i + 1]), 2), _edge(parts[i + 1 :], 1)
+            pairs.append(last and first and [(last, first)])
+    cls = min(filter(None, (part[3] for part in parts)), key=_rank, default=None)
+    pairs = min(filter(None, pairs), key=_pair_rank, default=None)
+    return not solid, _edge(parts, 1), _edge(reversed(parts), 2), cls, pairs
 
 
-def _class_text(item) -> str:
-    op, av = item
-    if op.name == "CATEGORY":
-        return _CATEGORY_TEXT[av]
-    lo, hi = map(re.escape, map(chr, av if op.name == "RANGE" else (av, av)))
-    return lo if lo == hi else f"{lo}-{hi}"
+def _class_text(items) -> str:
+    out = []
+    for op, av in items:
+        if op.name == "CATEGORY":
+            out.append(_CATEGORY_TEXT[av])
+        else:
+            lo, hi = map(re.escape, map(chr, av if op.name == "RANGE" else (av, av)))
+            out.append(lo if lo == hi else f"{lo}-{hi}")
+    return "[%s]" % "".join(dict.fromkeys(out))
 
 
 def _guard(rule: EntityRule):
-    """``search`` of a class every match of ``rule`` holds a character of,
-    or None when there is none or the pattern cannot be read."""
+    """``search`` of class pairs ``[A][B]|...``, one of which every match of
+    ``rule`` holds as adjacent characters, else of a class every match holds
+    a character of; None when there is neither or the pattern cannot be read."""
     try:
-        items = _required(rule._tree)
-        text = items and "".join(dict.fromkeys(map(_class_text, items)))
-        return re.compile(f"[{text}]", rule.regex.flags).search if text else None
+        *_, items, pairs = _walk(rule._tree)
+        text = items and _class_text(items)
+        if pairs:
+            text = "|".join(_class_text(a) + _class_text(b) for a, b in pairs)
+        return re.compile(text, rule.regex.flags).search if text else None
     except Exception:  # a guard may only skip work: in doubt the rule runs
         return None
 
@@ -211,8 +255,7 @@ def tag_entities(text: str, rules: EntityRuleSet | None = None) -> str:
     greedy. Matched spans become reserved tokens. Everything else is
     lowercased, punctuation (except apostrophes inside a word) becomes a
     space, and whitespace runs collapse. Applying the function to its own
-    output is a no-op. A rule runs only on a text that holds a character of
-    its guard class.
+    output is a no-op. A rule runs only on a text its guard lets through.
     """
     if rules is None:
         rules = EntityRuleSet.default()
@@ -220,16 +263,14 @@ def tag_entities(text: str, rules: EntityRuleSet | None = None) -> str:
     # the reserved-token and placeholder passes run only when the fixed first
     # character of their pattern is present
     if "<" in s:
-        s = _RESERVED_RE.sub(lambda m: f"{_MARK}{m.group(1).lower()}{_MARK}", s)
+        s = _RESERVED_RE.sub(lambda m: f" {_MARK}{m.group(1).lower()}{_MARK} ", s)
     for sub, mark, guard in rules._subs:
         if guard is None or guard(s):
             s = sub(mark, s)
-    s = _PUNCT_RE.sub(" ", s.lower())
-    if "'" in s or "’" in s:
-        s = _LOOSE_APOSTROPHE_RE.sub(" ", s)
+    s = s.lower()
     if _MARK in s:
         s = _MARK_RE.sub(_placeholder_token, s)
-    return " ".join(s.split())
+    return " ".join(_TOKEN_RE.findall(s))
 
 
 def collocation_score(

@@ -318,7 +318,7 @@ def tag_entities_per_char(text: str, rules, groups) -> str:
     reserved_re = re.compile("<(%s)>" % "|".join(groups), re.IGNORECASE)
     apostrophes = "'’"
     s = text.replace(mark, " ")
-    s = reserved_re.sub(lambda m: f"{mark}{m.group(1).lower()}{mark}", s)
+    s = reserved_re.sub(lambda m: f" {mark}{m.group(1).lower()}{mark} ", s)
     for group, regex in rules:
         s = regex.sub(f"{mark}{group}{mark}", s)
     s = s.lower()

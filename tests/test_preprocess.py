@@ -99,6 +99,20 @@ def test_tagging_preserves_reserved_tokens():
     assert tag_entities("<NUMBER>") == "<number>"
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("www.abc.vn<phone> nhe", "<link> <phone> nhe"),
+        ("xem abc.vn/<date>x nhe", "xem <link> <date> x nhe"),
+    ],
+)
+def test_reserved_token_right_after_a_link_is_kept(text, want):
+    # the link rule's \S+ stops at the space put around each reserved token
+    compiled = [(r.group, r.regex) for r in EntityRuleSet.default()]
+    assert oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS) == want
+    assert tag_entities(text) == want
+
+
 def test_tagging_handles_nul_bytes():
     assert tag_entities("a\x00b") == "a b"
 
@@ -158,6 +172,9 @@ _EDGE_PIECES = [
     "1'2", "a''b", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u202f", "\u3000",
     "\u2028", "\u200b", "\u0301", "e\u0301'x", "\u0663", "\u00b2", "\u0130'a",
     "<phone>", "<NUMBER>", "0912345678", "20/10/2016", ":)", "50k", "www.a.vn",
+    # apostrophe runs and edges for the token pass: doubled, quoting, beside a
+    # combining mark and beside a reserved token
+    "it''s", "'a'", "a'\u0301", "\u0301'a", "’<phone>", "<link>’s", "a’<3",
     # near-miss reserved forms, which reach the "<" and mark guards in tag_entities
     "<", ">", "<<date>>", "<Link", "phone>", "\x00date",
     # letters whose case folding is special (the Kelvin sign folds to k, the
@@ -182,16 +199,26 @@ _CUSTOM_RULES = EntityRuleSet([
     st.lists(st.one_of(st.sampled_from(_EDGE_PIECES), st.text(max_size=3))).map("".join),
 ))
 def test_tagging_matches_per_character_loop(rules, text):
-    # The two punctuation regexes give the tokens of testing each character
-    # with str.isalnum() and str.isspace(): on str patterns re's word class is
-    # isalnum() plus "_", so [^\W_] is exactly isalnum(), its whitespace class
-    # is isspace(), which str.split() also uses, and the first pass never
-    # rewrites an alphanumeric neighbour of an apostrophe. The placeholder pass
+    # The token regex gives the tokens of testing each character with
+    # str.isalnum() and str.isspace(): on str patterns re's word class is
+    # isalnum() plus "_", so [^\W_] is exactly isalnum(), and an apostrophe
+    # joins a run only between two such characters. A reserved token in the
+    # lowercased text comes only from the placeholder pass, since every
+    # character that lowercases to a letter of a group name also matches it
+    # case-insensitively in the reserved-token pass. The placeholder pass
     # looks each group up in a fixed table, the string the template
     # r" <\1> " expands to, whatever the rule set.
     compiled = [(r.group, r.regex) for r in (rules or EntityRuleSet.default())]
     want = oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
     assert tag_entities(text, rules) == want
+
+
+@pytest.mark.parametrize("text", ["a'" * 50_000, "0 " * 50_000, "a" * 100_000 + "'"])
+def test_tagging_matches_per_character_loop_on_long_inputs(text):
+    # runs of 100,000 characters: a token pass that rescans a run from each of
+    # its characters would take quadratic time here
+    compiled = [(r.group, r.regex) for r in EntityRuleSet.default()]
+    assert tag_entities(text) == oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
 
 
 # -- rule guards ----------------------------------------------------------------
@@ -206,21 +233,28 @@ def test_default_rule_guards_are_pinned():
     rules = EntityRuleSet.default()
     got = {r.group: guard.__self__.pattern for r, (_, _, guard) in zip(rules, rules._subs)}
     assert got == {
-        "link": r"[:\.]",
-        "emoticon": "[:;=<]",
-        "date": r"[/\.\-:]",
-        "phone": "[801]",
-        "currency": r"[\d]",
-        "number": r"[\d]",
+        "link": r"[:][/]|[w][w]|[\.][vcn]",
+        "emoticon": r"[:][\)]|[:][\(]|[;][\)]|[=][\)]|[:][dpv3]|[<][3]",
+        "date": r"[\d][/\.\-]|[\d][:]",
+        "phone": r"[8][4]|[0][\ \.\d]|[0][0]",
+        "currency": r"[\d][vtkđd]",
+        "number": r"[\d]",  # no pair: one character matches
     }
 
 
 @pytest.mark.parametrize(
     "pattern, want",
     [
-        ("x+:", "[:]"),  # no letter beats fewer members
-        (r"\d{2}-\d", r"[\-]"),
-        ("(?:ab|c)d", "[d]"),  # one member beats the branch's two
+        # a pair, when there is one, beats a class
+        ("x+:", "[x][:]"),
+        (r"\d{2}-\d", r"[\d][\-]"),  # fewer members beat two bodies' [\d][\d]
+        ("(?:ab|c)d", "[bc][d]"),  # the branch has no pair; its last class meets d
+        (r"\d(?:,\d{3})*k", r"[\d][k]"),  # trailing lasts across a nullable group, deduplicated
+        ("a(?=b)b", "[a][b]"),  # a lookahead consumes nothing
+        (r"\d{2,}", r"[\d][\d]"),  # two bodies meet
+        # with no pair, a class: no letter beats fewer members
+        ("(?:ab|c)", "[ac]"),  # one branch has no pair, so the class of each
+        (r"(?-i:ab)\d", r"[\d]"),  # a scoped-flag group gives no class, pair or edge
         (r"(?:\d|:)+", r"[\d:]"),
         (r"(?<!\w)\b(?=x)k", "[k]"),  # zero-width nodes need nothing
         (r"[\]\\\-^]", r"[\]\\\-\^]"),
@@ -258,7 +292,7 @@ def test_rule_set_builds_unguarded_when_the_analysis_fails(monkeypatch):
     def fail(nodes):
         raise ValueError("no guard")
 
-    monkeypatch.setattr(preprocess, "_required", fail)
+    monkeypatch.setattr(preprocess, "_walk", fail)
     rules = EntityRuleSet(EntityRuleSet.default())
     assert [guard for _, _, guard in rules._subs] == [None] * len(ENTITY_GROUPS)
     text = "www.abc.vn :) 20/10 0912345678 50k 123"
@@ -328,7 +362,11 @@ def _compiles(pattern):
 
 
 _GUARD_TEXT_PIECES = st.one_of(
-    st.sampled_from(_EDGE_PIECES + ["K", "S", "I", "\u0131", "42", ":", ".", "x", "ab", " "]),
+    st.sampled_from(
+        _EDGE_PIECES + ["K", "S", "I", "\u0131", "42", ":", ".", "x", "ab", " "]
+        # pieces that hold a pair a rule needs, so the guard must let them through
+        + ["1.000k", "12/10", "://", "www.", ".vn", "0 9"]
+    ),
     st.text(max_size=2),
 )
 
