@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,7 +112,7 @@ class TrainedModel:
 
 
 def _is_number(x) -> bool:
-    return type(x) in (int, float)
+    return type(x) is float or type(x) is int and abs(x) <= sys.float_info.max
 
 
 def _is_index(x, bound: int) -> bool:
@@ -439,41 +440,37 @@ def _train_dt(vectors, spam_flags, max_depth: int) -> dict:
     sorted unique values seen for a feature (absent means zero).
 
     Gain ties resolve to the lowest feature index, then the lowest threshold.
-    A node stops at purity, max_depth, fewer than two samples, or when no
-    split improves the impurity, compared in exact integer arithmetic.
+    A node stops at purity (so at fewer than two samples too), at max_depth,
+    or when no split improves the impurity, compared in exact integer arithmetic.
     """
     rows = [vec.weights for vec in vectors]
     ones = [tuple(f for f, val in row.items() if val == 1) for row in rows]
     others = [tuple((f, val) for f, val in row.items() if val != 1) for row in rows]
     nodes: list[dict] = []
-
-    def leaf(n: int, s: int) -> int:
-        nodes.append({"spam_fraction": s / n, "samples": n})
-        return len(nodes) - 1
-
-    def build(idxs, depth: int) -> int:
-        spam_idxs = [i for i in idxs if spam_flags[i]]
-        n = len(idxs)
-        s = len(spam_idxs)
-        if s == 0 or s == n or depth >= max_depth or n < 2:
-            return leaf(n, s)
-        # The search's counters die with its frame, before the recursion.
-        best = _dt_split(ones, others, idxs, spam_idxs)
-        if best is None:
-            return leaf(n, s)
-        f, thr = best
-        left_idx = [i for i in idxs if rows[i].get(f, 0.0) <= thr]
-        right_idx = [i for i in idxs if rows[i].get(f, 0.0) > thr]
-        left = build(left_idx, depth + 1)
-        right = build(right_idx, depth + 1)
-        nodes.append({"feature": f, "threshold": thr, "left": left, "right": right})
-        return len(nodes) - 1
-
-    try:
-        root = build(list(range(len(rows))), 0)
-    finally:
-        del build  # its closure holds build itself: a cycle only gc would free
-    return {"nodes": nodes, "root": root}
+    # Entries grow a node from (row indices, depth) or join the last two subtrees on
+    # ``done`` under a (feature, threshold) split, so nodes are appended in post-order.
+    work: list[tuple] = [(list(range(len(rows))), 0)]
+    done: list[int] = []
+    while work:
+        entry = work.pop()
+        if type(entry[0]) is int:
+            right = done.pop()
+            nodes.append({"feature": entry[0], "threshold": entry[1], "left": done.pop(), "right": right})
+        else:
+            idxs, depth = entry
+            spam_idxs = [i for i in idxs if spam_flags[i]]
+            n, s = len(idxs), len(spam_idxs)
+            # The search's counters die with its frame, before the children grow.
+            best = _dt_split(ones, others, idxs, spam_idxs) if 0 < s < n and depth < max_depth else None
+            if best is not None:
+                f, thr = best
+                work.append(best)
+                work.append(([i for i in idxs if rows[i].get(f, 0.0) > thr], depth + 1))
+                work.append(([i for i in idxs if rows[i].get(f, 0.0) <= thr], depth + 1))
+                continue
+            nodes.append({"spam_fraction": s / n, "samples": n})
+        done.append(len(nodes) - 1)
+    return {"nodes": nodes, "root": done[0]}
 
 
 def _dt_split(ones, others, idxs, spam_idxs) -> tuple[int, float] | None:

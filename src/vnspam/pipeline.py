@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 import unicodedata
 from dataclasses import dataclass, fields
@@ -101,7 +102,7 @@ class PipelineConfig:
                 isinstance(value, bool) and f.type != "bool"
             ):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be a finite number, got {value}")
         if self.classifier not in KINDS:
             raise ValueError(
@@ -374,7 +375,7 @@ class FittedPipeline:
             )
         try:
             return cls._from_doc(doc)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFileError(f"model file {p} is malformed: {exc}") from exc
 
     def _to_doc(self) -> dict:
@@ -432,8 +433,9 @@ class FittedPipeline:
             vocab = Vocabulary(vd["terms"], vd["doc_freq"], vd["num_docs"])
         model = TrainedModel(**{f.name: doc["model"][f.name] for f in fields(TrainedModel)})
         stats = FitStats(*(doc["stats"][f.name] for f in fields(FitStats)))
-        if collocations and not config.preprocess:
-            raise ValueError("collocation models stored without preprocessing")
+        passes = config.passes if config.preprocess and model.kind != "baseline" else 0
+        if len(collocations) != passes:  # fit stores one model per segmentation pass
+            raise ValueError(f"{len(collocations)} collocation models stored, expected {passes}")
         if model.kind != config.classifier:
             raise ValueError(f"model kind {model.kind!r} does not match the config")
         if model.kind != "baseline":

@@ -699,7 +699,7 @@ def test_dt_fit_matches_plain_loop(instance):
 
 
 def test_dt_memory_does_not_grow_with_depth():
-    # Each node's split counters must be freed before it recurses; kept
+    # Each node's split counters must be freed before its children grow; kept
     # alive, they made the depth-20 peak about 9 times the depth-1 one here.
     import tracemalloc
 
@@ -724,8 +724,8 @@ def test_dt_memory_does_not_grow_with_depth():
 
 @pytest.mark.parametrize("kind", ["nb", "svm", "lr", "dt", "knn"])
 def test_fit_leaves_no_reference_cycle(kind):
-    # dt's recursive build closure refers to itself; left in place, that cycle
-    # keeps every row of the fit alive until the cyclic collector runs.
+    # A fit must leave no reference cycle, such as a closure that calls itself:
+    # one would keep every row of the fit alive until the cyclic collector runs.
     import gc
 
     rng = random.Random(0)

@@ -15,12 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnspam import FittedPipeline, Hyperparams, Label, ModelFileError, PipelineConfig, save_corpus
+from vnspam import (
+    Corpus,
+    FittedPipeline,
+    Hyperparams,
+    Label,
+    Message,
+    ModelFileError,
+    PipelineConfig,
+    save_corpus,
+)
 from vnspam.classifiers import KINDS
 from vnspam.cli import _config_from_args, build_parser, main
 from vnspam.preprocess import ENTITY_GROUPS
 
 from conftest import synth_corpus
+
+import oracles
 
 
 @pytest.fixture()
@@ -218,6 +229,56 @@ def test_predict_baseline_scores(tmp_path, corpus_path, capsys):
     assert capsys.readouterr().out == "spam\t1.0\nham\t0.0\n"
 
 
+def _alternating_lengths(n):
+    """Messages "a", "aa", "aaa", ... whose labels alternate with their length:
+    a tree that separates them has depth about 3n/4."""
+    labs = (Label.LEGITIMATE, Label.SPAM)
+    return Corpus(Message(i, "a" * (i + 1), labs[i % 2]) for i in range(n))
+
+
+def _dt_depth(params):
+    nodes = params["nodes"]
+    deepest, stack = 0, [(params["root"], 0)]
+    while stack:
+        j, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if "feature" in nodes[j]:
+            stack += [(nodes[j]["left"], depth + 1), (nodes[j]["right"], depth + 1)]
+    return deepest
+
+
+def test_dt_deeper_than_the_recursion_limit_trains_and_predicts(tmp_path, capsys):
+    corpus = _alternating_lengths(1500)
+    texts = [m.text for m in corpus.messages]
+    save_corpus(corpus, tmp_path / "corpus.tsv")
+    model = tmp_path / "model.json"
+    argv = ["train", str(tmp_path / "corpus.tsv"), "--clf", "dt", "--max-depth", "100000", "--min-df", "1"]
+    assert main(argv + ["-o", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["predict", str(model)], stdin=io.BytesIO("\n".join(texts).encode())) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    fitted = FittedPipeline.fit(corpus.messages, PipelineConfig(classifier="dt", max_depth=100000, min_df=1))
+    assert _dt_depth(fitted.model.params) == 1122 > sys.getrecursionlimit()
+    fitted.save(tmp_path / "api.json")
+    assert (tmp_path / "api.json").read_bytes() == model.read_bytes()
+    loaded = FittedPipeline.load(model)
+    preds = [loaded.predict_text(t) for t in texts]
+    assert [p.label for p in preds] == [m.label for m in corpus.messages]
+    assert lines == [f"{p.label.token}\t{p.score!r}" for p in preds]
+
+    # the plain oracle recurses once a level, so it needs a higher limit
+    vectors = [fitted.vector(t) for t in texts]
+    flags = [m.label is Label.SPAM for m in corpus.messages]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        plain = oracles.train_dt_plain(vectors, flags, 100000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert repr(fitted.model.params) == repr(plain)
+
+
 def test_predict_empty_stdin(tmp_path, corpus_path, capsys):
     model = train_model(tmp_path, corpus_path)
     capsys.readouterr()
@@ -308,6 +369,7 @@ BAD_PARAMS = {
     "svm-nan-weight": ("svm", lambda p: p["weights"].__setitem__(0, float("nan"))),
     "nb-infinite-prior": ("nb", lambda p: p["log_prior"].update(ham=float("-inf"))),
     "lr-overflowing-bias": ("lr", _set("bias", "1e999")),
+    "svm-integer-bias-beyond-float": ("svm", _set("bias", 10**400)),
 }
 
 
@@ -353,6 +415,42 @@ def test_predict_rejects_mistyped_config_field(field, value, saved_models, tmp_p
     assert err.startswith("error: ") and field in err
 
 
+# (edit of a saved svm model file, the count it then stores, the count it must)
+COLLOCATION_COUNTS = {
+    "passes-above-stored": (lambda doc: doc["config"].update(passes=3), 1, 3),
+    "none-stored-with-preprocessing": (lambda doc: doc.update(collocations=[]), 0, 1),
+    "stored-without-preprocessing": (lambda doc: doc["config"].update(preprocess=False), 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLOCATION_COUNTS))
+def test_predict_rejects_a_collocation_count_other_than_passes(case, saved_models, tmp_path, capsys):
+    mutate, stored, expected = COLLOCATION_COUNTS[case]
+    doc = json.loads(saved_models["svm"].read_text(encoding="utf-8"))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFileError, match=f"{stored} collocation models stored, expected {expected}"):
+        FittedPipeline.load(path)
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    assert capsys.readouterr().err.startswith(f"error: model file {path} is malformed: ")
+
+
+@pytest.mark.parametrize("owner", ["collocation", "config"])
+def test_predict_rejects_an_integer_discount_beyond_float(owner, tmp_path, corpus_path, capsys):
+    # with --min-count 1 the model stores bigrams, which load scores with the discount
+    model = train_model(tmp_path, corpus_path, extra=["--min-count", "1"])
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    assert doc["collocations"][0]["bigram_counts"]
+    (doc["collocations"][0] if owner == "collocation" else doc["config"])["discount"] = 10**400
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    assert capsys.readouterr().err.startswith(f"error: model file {path} is malformed: ")
+
+
 def test_predict_refuses_a_model_rule_that_can_match_the_empty_string(
     saved_models, tmp_path, capsys
 ):
@@ -379,8 +477,9 @@ def _json_paths(node, path=()):
         yield from _json_paths(child, path + (key,))
 
 
-# one value of each JSON type, so every value can be given another type
-RETYPES = (None, True, 0, 1.5, "x", [], {})
+# one value of each JSON type, so every value can be given another type, and
+# an integer no float can hold
+RETYPES = (None, True, 0, 1.5, "x", [], {}, 10**400)
 PROBES = (
     "khuyen mai goi ngay 0912345678",
     "an com chua ban oi",

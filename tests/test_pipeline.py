@@ -50,6 +50,8 @@ FAST = PipelineConfig(min_df=1, length_feature=False, epochs=5)
         (dict(alpha=True), "alpha must be of type float, got True"),
         (dict(discount="5"), "discount must be of type float"),
         (dict(classifier=["svm"]), "classifier must be of type str"),
+        (dict(discount=10**400), "discount must be a finite"),
+        (dict(colloc_threshold=-(10**400)), "colloc_threshold must be a finite"),
     ],
 )
 def test_config_validate_rejects(kwargs, needle):
