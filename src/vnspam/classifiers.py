@@ -574,13 +574,13 @@ def _knn_postings(params: dict) -> dict[int, list[tuple[int, float]]]:
     return postings
 
 
-def _knn_neighbors(params: dict, vector: FeatureVector, postings=None) -> list[int]:
+def _knn_neighbors(params: dict, vector: FeatureVector, postings) -> list[int]:
     """Indices of the k nearest training rows by cosine distance.
 
     Distance ties resolve to the lower training index, and a zero-norm side
     puts a row at distance 1.0. Each dot product is a running total from 0.0
-    through ``postings`` (built from params when not given), equal to the sum
-    a scan over every stored entry gives.
+    through ``postings``, the index ``_knn_postings`` builds from params,
+    equal to the sum a scan over every stored entry gives.
     """
     items = vector.weights.items()
     qn = math.sqrt(_running_sum(v * v for _, v in items))
@@ -588,8 +588,6 @@ def _knn_neighbors(params: dict, vector: FeatureVector, postings=None) -> list[i
     k = min(params["k"], n)
     if qn == 0.0:
         return list(range(k))
-    if postings is None:
-        postings = _knn_postings(params)
     products = [0.0] * n
     for i, qv in items:
         for r, v in postings.get(i, ()):

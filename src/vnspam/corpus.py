@@ -159,9 +159,6 @@ class FoldAssignment:
             sizes[f] += 1
         return sizes
 
-    def ids_in_fold(self, fold: int) -> list[int]:
-        return sorted(i for i, f in self.fold_of.items() if f == fold)
-
 
 def _require_labels(corpus: Corpus, action: str) -> None:
     """Raise ValueError naming the ids of the corpus's unlabeled messages."""

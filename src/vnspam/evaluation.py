@@ -8,7 +8,7 @@ from dataclasses import astuple, dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from .classifiers import _running_sum, epoch_orders, rule_baseline
+from .classifiers import _running_sum, epoch_orders, predict, rule_baseline
 from .corpus import Corpus, FoldAssignment, Label, _require_labels
 from .pipeline import PipelineConfig, _fit_rows, _nfc, _normalize_all
 from .preprocess import EntityRuleSet
@@ -160,7 +160,8 @@ def cross_validate(
     once for all folds, and each segment fit with its segmented streams,
     vocabulary and svm/lr visiting order is built once for all the folds that
     read it. ``plan`` may carry those stage outputs when the caller shares
-    them across configurations, as ``run_grid`` does.
+    them across configurations, as ``run_grid`` does. The rule baseline has
+    nothing to fit: each message is scored once, and each fold reads its own.
     """
     config = config or PipelineConfig()
     config.validate()
@@ -170,11 +171,12 @@ def cross_validate(
         raise ValueError("fold assignment does not cover exactly this corpus")
     if folds.k < 2:
         raise ValueError("need at least two folds")
-    rules = rules or EntityRuleSet.default()
-    # The baseline rule reads only the NFC text, so its pass tags nothing.
-    norm = replace(config, preprocess=False) if config.classifier == "baseline" else config
-    plan = plan or _Plan(folds, [norm])
-    rows = plan.get(_normalize_key(norm), lambda: _normalize_all(corpus.messages, norm, rules))
+    if config.classifier == "baseline":  # the rule reads only the (NFC) text
+        scored = [rule_baseline(_nfc(m.text, config)).label for m in corpus.messages]
+    else:
+        rules = rules or EntityRuleSet.default()
+        plan = plan or _Plan(folds, [config])
+        rows = plan.get(_normalize_key(config), lambda: _normalize_all(corpus.messages, config, rules))
 
     outcomes = []
     for f in range(folds.k):
@@ -184,8 +186,11 @@ def cross_validate(
         gold = [corpus.messages[i].label for i in test]
         if Label.SPAM not in gold or Label.LEGITIMATE not in gold:
             raise ValueError(f"fold {f} does not contain both classes")
-        labels = [corpus.messages[i].label for i in training]
-        predicted = _fit_fold(f, training, labels, test, rows, config, rules, plan)
+        if config.classifier == "baseline":
+            predicted = [scored[i] for i in test]
+        else:
+            labels = [corpus.messages[i].label for i in training]
+            predicted = _fit_fold(f, training, labels, test, rows, config, rules, plan)
         counts = confusion(gold, predicted)
         outcomes.append(FoldOutcome(fold=str(f), counts=counts, rates=rates(counts)))
     return _report(config.name, outcomes)
@@ -197,7 +202,7 @@ def _fit_fold(fold, training, labels, test, normalized, config, rules, plan) -> 
     while the next fold fits, which raises the grid's peak memory."""
     rows = [normalized[i] for i in training]
     fitted = _fit_rows(rows, labels, config, rules, plan.stages(config, fold, len(training)))
-    return [fitted._predict(normalized[i]).label for i in test]
+    return [predict(fitted.model, fitted._vector(normalized[i])).label for i in test]
 
 
 def _normalize_key(config: PipelineConfig) -> tuple:
@@ -232,10 +237,9 @@ class _Plan:
         self.kept: dict = {}
         for cfg in configs:
             self.readers[_normalize_key(cfg)] += 1
-            if cfg.classifier != "baseline":
-                for f in range(folds.k):
-                    keys = _stage_keys(cfg, f, len(folds.fold_of) - sizes[f]).values()
-                    self.readers.update(k for k in keys if k is not None)
+            for f in range(folds.k):
+                keys = _stage_keys(cfg, f, len(folds.fold_of) - sizes[f]).values()
+                self.readers.update(k for k in keys if k is not None)
 
     def get(self, key, build):
         left = self.readers.pop(key, 1) - 1

@@ -103,7 +103,8 @@ class PipelineConfig:
             ):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
             if f.type == "float" and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{f.name} must be a finite number, got {value}")
+                got = f"an integer of {value.bit_length()} bits" if isinstance(value, int) else value
+                raise ValueError(f"{f.name} must be a finite number, got {got}")
         if self.classifier not in KINDS:
             raise ValueError(
                 f"unknown classifier {self.classifier!r} (expected one of {KINDS})"
@@ -230,9 +231,6 @@ def _fit_rows(
     before the learner runs. ``plan(stage, build)`` returns the ``"segment"``
     (models, segmented streams), ``"vocabulary"`` and ``"orders"`` outputs:
     ``fit`` builds each in place, evaluation shares them across fits."""
-    hyper = config.hyperparams()
-    if config.classifier == "baseline":
-        return FittedPipeline(config, rules, [], None, train("baseline", [], [], hyper), None)
     if any(lab is None for lab in labels):
         raise ValueError("cannot train on unlabeled messages")
     streams = [n.tokens for n in rows]
@@ -243,7 +241,7 @@ def _fit_rows(
     vectors = [_featurize(s, n.text, vocab, config) for s, n in zip(streams, rows)]
     rows.clear()
     del streams
-    model = train(config.classifier, vectors, labels, hyper, plan("orders", lambda: None))
+    model = train(config.classifier, vectors, labels, config.hyperparams(), plan("orders", lambda: None))
     return FittedPipeline(config, rules, collocations, vocab, model, None)
 
 
@@ -282,8 +280,10 @@ class FittedPipeline:
         messages = list(messages)
         if not messages:
             raise ValueError("cannot fit a pipeline on an empty corpus")
-        # the rule baseline reads no stage output, so it skips normalize too
-        rows = [] if config.classifier == "baseline" else _normalize_all(messages, config, rules)
+        if config.classifier == "baseline":  # the rule reads no stage output
+            model = train("baseline", [], [], config.hyperparams())
+            return cls(config, rules, [], None, model, FitStats(len(messages), 0, 0, 0))
+        rows = _normalize_all(messages, config, rules)
         stats = [len(messages), len({tok for n in rows for tok in n.text.split()}), 0]
 
         def plan(stage, build):
@@ -293,7 +293,7 @@ class FittedPipeline:
             return out
 
         fitted = _fit_rows(rows, [m.label for m in messages], config, rules, plan)
-        fitted.stats = FitStats(*stats, len(fitted.vocab or ()))
+        fitted.stats = FitStats(*stats, len(fitted.vocab))
         return fitted
 
     # -- prediction ------------------------------------------------------
@@ -315,18 +315,11 @@ class FittedPipeline:
     def _vector(self, row: Normalized) -> FeatureVector:
         return _featurize(self._segment(row.tokens), row.text, self.vocab, self.config)
 
-    def _predict(self, row: Normalized) -> Prediction:
-        """Label one normalized message; ``predict_text`` and cross-validation
-        both score here."""
-        if self.config.classifier == "baseline":
-            return rule_baseline(row.text)
-        return predict(self.model, self._vector(row))
-
     def predict_text(self, text: str) -> Prediction:
         """Label one raw message."""
         if self.config.classifier == "baseline":  # the rule reads only the text
             return rule_baseline(_nfc(text, self.config))
-        return self._predict(normalize(text, self.config, self.rules))
+        return predict(self.model, self._vector(normalize(text, self.config, self.rules)))
 
     # -- persistence -----------------------------------------------------
 
@@ -436,6 +429,9 @@ class FittedPipeline:
         passes = config.passes if config.preprocess and model.kind != "baseline" else 0
         if len(collocations) != passes:  # fit stores one model per segmentation pass
             raise ValueError(f"{len(collocations)} collocation models stored, expected {passes}")
+        stored = {(cm.discount, cm.min_count, cm.threshold) for cm in collocations}
+        if stored - {(config.discount, config.min_count, config.colloc_threshold)}:
+            raise ValueError("collocation model parameters do not match the config")
         if model.kind != config.classifier:
             raise ValueError(f"model kind {model.kind!r} does not match the config")
         if model.kind != "baseline":

@@ -319,20 +319,12 @@ class CollocationModel:
                 merges[(a, b)] = score
         self.merges = merges
 
-    def should_merge(self, left: str, right: str) -> bool:
-        return (left, right) in self.merges
-
     def merges_by_score(self) -> list[tuple[tuple[str, str], float]]:
         """Merge pairs sorted by descending score, then alphabetically."""
         return sorted(self.merges.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def fit_collocations(
-    docs,
-    discount: float = 5.0,
-    min_count: int = 10,
-    threshold: float = 1e-4,
-) -> CollocationModel:
+def fit_collocations(docs, *, discount: float, min_count: int, threshold: float) -> CollocationModel:
     """Count unigrams and adjacent pairs over token streams and keep the
     pairs strong enough to merge.
 

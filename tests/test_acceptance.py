@@ -107,7 +107,7 @@ def test_learners_match_bruteforce_oracles():
         k = rng.randint(1, 8)
         model = train("knn", [fv(r, d) for r in rows], labels(flags), Hyperparams(k=k))
         q = {f: rng.randint(1, 4) for f in range(d) if rng.random() < 0.6}
-        got = _knn_neighbors(model.params, fv(q, d))
+        got = _knn_neighbors(model.params, fv(q, d), model.knn_postings)
         assert got == oracles.knn_exhaustive(rows, q, k), (rows, q, k)
 
     for _ in range(500):

@@ -467,7 +467,7 @@ def test_knn_matches_exhaustive_oracle():
         k = rng.randint(1, 6)
         model = train("knn", [fv(r, d) for r in rows], labels(flags), Hyperparams(k=k))
         q = {f: rng.randint(1, 4) for f in range(d) if rng.random() < 0.5}
-        got = _knn_neighbors(model.params, fv(q, d))
+        got = _knn_neighbors(model.params, fv(q, d), model.knn_postings)
         assert got == oracles.knn_exhaustive(rows, q, k)
 
 
@@ -561,7 +561,6 @@ def test_knn_index_matches_full_scan(instance):
     rows, query, k = instance
     model = train("knn", rows, labels([i % 2 for i in range(len(rows))]), Hyperparams(k=k))
     want = oracles.knn_full_scan(model.params, query)
-    assert _knn_neighbors(model.params, query) == want
     assert _knn_neighbors(model.params, query, model.knn_postings) == want
 
 
@@ -587,7 +586,6 @@ def test_knn_zero_products_tie_with_untouched_rows(k):
     # Rows 4 and 2 have positive products. Rows 0, 1 and 3 tie at 1.0 and
     # rank by index, ahead of row 5's negative product.
     assert want == [4, 2, 0, 1, 3, 5][:k]
-    assert _knn_neighbors(model.params, query) == want
     assert _knn_neighbors(model.params, query, model.knn_postings) == want
 
 
@@ -807,5 +805,4 @@ def test_knn_dot_product_sums_left_to_right():
     model = train("knn", [fv({6: 1.0}, 7), fv(row, 7)], labels([0, 1]), Hyperparams(k=1))
     # The running total is 0.0, which puts row 1 at distance 1.0 like the
     # untouched row 0, and the tie goes to the lower index.
-    assert _knn_neighbors(model.params, fv(query, 7)) == [0]
     assert _knn_neighbors(model.params, fv(query, 7), model.knn_postings) == [0]

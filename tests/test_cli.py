@@ -438,14 +438,41 @@ def test_predict_rejects_a_collocation_count_other_than_passes(case, saved_model
 
 
 @pytest.mark.parametrize("owner", ["collocation", "config"])
-def test_predict_rejects_an_integer_discount_beyond_float(owner, tmp_path, corpus_path, capsys):
+def test_predict_rejects_an_integer_discount_beyond_float(
+    owner, tmp_path, corpus_path, capsys, monkeypatch
+):
     # with --min-count 1 the model stores bigrams, which load scores with the discount
     model = train_model(tmp_path, corpus_path, extra=["--min-count", "1"])
     doc = json.loads(model.read_text(encoding="utf-8"))
     assert doc["collocations"][0]["bigram_counts"]
     (doc["collocations"][0] if owner == "collocation" else doc["config"])["discount"] = 10**400
+    (tmp_path / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["predict", "bad.json"], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file bad.json is malformed: ")
+    # the value is named by its size, not by its 401 digits
+    assert len(err) < 200
+    if owner == "config":
+        assert "discount must be a finite number, got an integer of 1329 bits" in err
+
+
+# a value other than the config's for each parameter a stored collocation model carries
+COLLOCATION_PARAMETERS = {"discount": 7.0, "min_count": 9, "threshold": 2e-4}
+
+
+@pytest.mark.parametrize("field", sorted(COLLOCATION_PARAMETERS))
+def test_predict_rejects_collocation_parameters_other_than_the_config(
+    field, saved_models, tmp_path, capsys
+):
+    # load rebuilds each merge set from the parameters stored next to it
+    doc = json.loads(saved_models["svm"].read_text(encoding="utf-8"))
+    doc["collocations"][0][field] = COLLOCATION_PARAMETERS[field]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFileError, match="collocation model parameters do not match the config"):
+        FittedPipeline.load(path)
     capsys.readouterr()
     assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
     assert capsys.readouterr().err.startswith(f"error: model file {path} is malformed: ")

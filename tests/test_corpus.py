@@ -144,7 +144,7 @@ def test_folds_cover_and_partition(small_corpus):
     assert sum(folds.fold_sizes()) == len(small_corpus)
     seen = set()
     for f in range(5):
-        ids = set(folds.ids_in_fold(f))
+        ids = {i for i, g in folds.fold_of.items() if g == f}
         assert not ids & seen
         seen |= ids
 

@@ -593,14 +593,24 @@ def test_evaluation_tags_each_message_once_per_run(small_corpus, monkeypatch):
     assert calls == []
 
 
-def test_cross_validate_baseline_matches_unshared_loop():
+def test_cross_validate_baseline_matches_unshared_loop(monkeypatch):
     from dataclasses import replace
+
+    from vnspam import evaluation
 
     corpus = _decomposed(synth_corpus(150, seed=5, tag_spam=True))
     folds = stratified_kfold(corpus, k=3)
     cfg = replace(PipelineConfig(nfc=True), classifier="baseline")
+    want = _unshared_cross_validate(corpus, folds, cfg)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the baseline rule needs no pipeline")
+
+    monkeypatch.setattr(evaluation, "_fit_rows", fail)
+    monkeypatch.setattr(evaluation, "_normalize_all", fail)
+    monkeypatch.setattr(EntityRuleSet, "default", classmethod(fail))
     report = cross_validate(corpus, folds, cfg)
-    assert report == _unshared_cross_validate(corpus, folds, cfg)
+    assert report == want
     assert len(report.per_fold) == 3
 
 

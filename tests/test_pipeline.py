@@ -92,9 +92,15 @@ def test_fit_rejects_empty_and_unlabeled():
         FittedPipeline.fit(msgs, FAST)
 
 
-def test_baseline_fit_has_no_feature_space():
+def test_baseline_fit_has_no_feature_space(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the rule baseline fits no stage")
+
+    monkeypatch.setattr(pipeline, "tag_entities", fail)
+    monkeypatch.setattr(pipeline, "_fit_rows", fail)
     msgs = [Message(0, "[QC] khuyen mai"), Message(1, "an com chua")]
     fitted = FittedPipeline.fit(msgs, PipelineConfig(classifier="baseline"))
+    assert fitted.stats == pipeline.FitStats(2, 0, 0, 0)
     assert fitted.vocab is None
     assert fitted.collocations == []
     with pytest.raises(ValueError, match="feature space"):

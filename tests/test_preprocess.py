@@ -542,14 +542,14 @@ def test_fit_drops_rare_pairs():
 
 def test_fit_rejects_empty_corpus():
     with pytest.raises(ValueError, match="empty"):
-        fit_collocations([])
+        fit_collocations([], discount=5.0, min_count=10, threshold=1e-4)
 
 
 def test_nonpositive_score_never_merges():
     docs = [["a", "b"]] * 10
     model = fit_collocations(docs, discount=10.0, min_count=10, threshold=1e-9)
     assert model.bigram_counts[("a", "b")] == 10
-    assert not model.should_merge("a", "b")
+    assert ("a", "b") not in model.merges
 
 
 def test_merge_set_respects_threshold_exactly():
