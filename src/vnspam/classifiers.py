@@ -32,6 +32,7 @@ __all__ = [
     "Hyperparams",
     "Prediction",
     "TrainedModel",
+    "load_params",
     "rule_baseline",
     "train",
     "predict",
@@ -93,18 +94,6 @@ class TrainedModel:
     has_length: bool
     vocab_fingerprint: str | None
 
-    def validate(self) -> None:
-        """Check the parameters against this kind's shape and n_slots.
-
-        For models read from a file, whose parser has already refused
-        non-finite numbers; raises ValueError on the first problem. Every
-        model train() returns passes.
-        """
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown classifier kind {self.kind!r}")
-        if self.kind != "baseline":
-            _PARAM_CHECKS[self.kind](self.params, self.n_slots)
-
     @cached_property
     def knn_postings(self) -> dict[int, list[tuple[int, float]]]:
         """knn's inverted index, built on first use and never saved."""
@@ -154,38 +143,48 @@ def _check_dt(params: dict, n_slots: int) -> None:
                 and _is_index(node["right"], j)
             )
         else:
-            ok = _is_number(node["spam_fraction"])
+            frac, n = node["spam_fraction"], node["samples"]
+            ok = _is_number(frac) and 0 <= frac <= 1 and type(n) is int and n >= 1
         if not ok:
             raise ValueError(f"dt node {j} is malformed")
 
 
 def _check_knn(params: dict, n_slots: int) -> None:
-    k, rows, norms, labels = params["k"], params["rows"], params["norms"], params["labels"]
-    if not (type(k) is int and k >= 1):
-        raise ValueError(f"knn k must be an integer >= 1, got {k!r}")
-    if not len(rows) == len(norms) == len(labels) >= 1:
-        raise ValueError(
-            f"knn has {len(rows)} rows, {len(norms)} norms and {len(labels)} labels"
-        )
+    rows, labels = params["rows"], params["labels"]
+    if not len(rows) == len(labels) >= 1:
+        raise ValueError(f"knn has {len(rows)} rows and {len(labels)} labels")
     for r, row in enumerate(rows):
         prev = -1
         for i, v in row:
             if not (_is_index(i, n_slots) and i > prev and _is_number(v)):
                 raise ValueError(f"knn row {r} has a bad entry [{i!r}, {v!r}]")
             prev = i
-    if not all(_is_number(x) for x in norms):
-        raise ValueError("knn norms hold a value that is not a number")
     if not all(lab in ("spam", "ham") for lab in labels):
         raise ValueError("knn labels must be 'spam' or 'ham'")
 
 
-_PARAM_CHECKS = {
-    "nb": _check_nb,
-    "svm": _check_linear,
-    "lr": _check_linear,
-    "dt": _check_dt,
-    "knn": _check_knn,
+# kind -> (the params train() learns, which a model file stores as they are; their check)
+_LEARNED = {
+    "nb": (("log_prior", "log_likelihood"), _check_nb),
+    "svm": (("weights", "bias"), _check_linear),
+    "lr": (("weights", "bias"), _check_linear),
+    "dt": (("nodes", "root"), _check_dt),
+    "knn": (("rows", "labels"), _check_knn),
 }
+
+
+def load_params(kind: str, stored: dict, n_slots: int, hp: Hyperparams) -> dict:
+    """A trained kind's params from a model file whose parser refused
+    non-finite numbers: the learned ones, checked against the kind's shape
+    and ``n_slots``, and the ones ``train`` derives from ``hp`` and them."""
+    keys, check = _LEARNED[kind]
+    params = {key: stored[key] for key in keys}
+    check(params, n_slots)
+    if kind == "nb":
+        params["alpha"] = hp.alpha
+    elif kind == "knn":
+        params.update(k=hp.k, norms=_knn_norms(params["rows"]))
+    return params
 
 
 def rule_baseline(raw_text: str) -> Prediction:
@@ -551,13 +550,16 @@ def _score_dt(params: dict, vector: FeatureVector) -> float:
 
 def _train_knn(vectors, spam_flags, k: int) -> dict:
     rows = [[[i, v] for i, v in vec.weights.items()] for vec in vectors]
-    norms = [math.sqrt(_running_sum(v * v for _, v in row)) for row in rows]
     return {
         "k": k,
         "rows": rows,
-        "norms": norms,
+        "norms": _knn_norms(rows),
         "labels": ["spam" if f else "ham" for f in spam_flags],
     }
+
+
+def _knn_norms(rows) -> list[float]:
+    return [math.sqrt(_running_sum(v * v for _, v in row)) for row in rows]
 
 
 def _knn_postings(params: dict) -> dict[int, list[tuple[int, float]]]:

@@ -24,6 +24,7 @@ from .classifiers import (
     Hyperparams,
     Prediction,
     TrainedModel,
+    load_params,
     predict,
     rule_baseline,
     train,
@@ -406,44 +407,40 @@ class FittedPipeline:
 
     @classmethod
     def _from_doc(cls, doc: dict) -> "FittedPipeline":
+        """Build the pipeline from the file's free data and derive the rest
+        again as ``fit`` and ``train`` do; refuse the file unless saving the
+        result would write ``doc`` back."""
         config = PipelineConfig(**doc["config"])
         config.validate()
         rules = EntityRuleSet(EntityRule(group=g, pattern=p) for g, p in doc["entity_rules"])
-        collocations = []
-        for cd in doc["collocations"]:
-            collocations.append(
-                CollocationModel(
-                    discount=cd["discount"],
-                    min_count=cd["min_count"],
-                    threshold=cd["threshold"],
-                    unigram_counts=dict(cd["unigram_counts"]),
-                    bigram_counts={(a, b): c for a, b, c in cd["bigram_counts"]},
-                )
-            )
-        vocab = None
-        if doc["vocabulary"] is not None:
-            vd = doc["vocabulary"]
-            vocab = Vocabulary(vd["terms"], vd["doc_freq"], vd["num_docs"])
-        model = TrainedModel(**{f.name: doc["model"][f.name] for f in fields(TrainedModel)})
-        stats = FitStats(*(doc["stats"][f.name] for f in fields(FitStats)))
-        passes = config.passes if config.preprocess and model.kind != "baseline" else 0
-        if len(collocations) != passes:  # fit stores one model per segmentation pass
-            raise ValueError(f"{len(collocations)} collocation models stored, expected {passes}")
-        stored = {(cm.discount, cm.min_count, cm.threshold) for cm in collocations}
-        if stored - {(config.discount, config.min_count, config.colloc_threshold)}:
-            raise ValueError("collocation model parameters do not match the config")
-        if model.kind != config.classifier:
-            raise ValueError(f"model kind {model.kind!r} does not match the config")
-        if model.kind != "baseline":
-            if vocab is None:
-                raise ValueError("trained model without a vocabulary")
-            if model.vocab_fingerprint != vocab.fingerprint:
-                raise ValueError("vocabulary does not match the model fingerprint")
+        passes = config.passes if config.preprocess and config.classifier != "baseline" else 0
+        if len(doc["collocations"]) != passes:  # fit stores one model per segmentation pass
+            raise ValueError(f"{len(doc['collocations'])} collocation models stored, expected {passes}")
+        collocations = [
+            CollocationModel(config.discount, config.min_count, config.colloc_threshold,
+                             dict(cd["unigram_counts"]), {(a, b): c for a, b, c in cd["bigram_counts"]})
+            for cd in doc["collocations"]
+        ]
+        stats = doc["stats"]
+        if config.classifier == "baseline":
+            vocab = None
+            model = train("baseline", [], [], config.hyperparams())
+            stats = FitStats(stats["messages"], 0, 0, 0)
+        else:
+            vocab = Vocabulary(**doc["vocabulary"])
             slots = len(vocab) + (1 if config.length_feature else 0)
-            if model.has_length is not config.length_feature or model.n_slots != slots:
-                raise ValueError("model slots do not match the vocabulary and length feature")
-        model.validate()
-        return cls(config, rules, collocations, vocab, model, stats)
+            params = load_params(config.classifier, doc["model"]["params"], slots, config.hyperparams())
+            model = TrainedModel(config.classifier, params, slots, config.length_feature, vocab.fingerprint)
+            stats = FitStats(vocab.num_docs, stats["raw_terms"], stats["preprocessed_terms"], len(vocab))
+        fitted = cls(config, rules, collocations, vocab, model, stats)
+        built = fitted._to_doc()
+        # ... stands for a missing key; == takes 1 for True, so has_length is held to its type
+        differs = [key for key in sorted(doc.keys() | built.keys()) if doc.get(key, ...) != built.get(key, ...)]
+        if not differs and doc["model"]["has_length"] is not model.has_length:
+            differs = ["model"]
+        if differs:
+            raise ValueError(f"stored {differs[0]} does not match what the config and learned data derive")
+        return fitted
 
 
 def _finite_float(literal: str) -> float:

@@ -4,6 +4,8 @@ Fits a fixed config matrix on ``synth_corpus(400, seed=7)``: 5 kinds x
 bow/tfidf x length on/off x preprocess on/off, plus ``passes=2`` with
 preprocess on (60 configs). Each model is saved, and its digest covers the
 file's bytes and the ``repr`` of ``predict_text`` on a few held-out texts.
+Each file is loaded again too: one that does not re-save to the same bytes,
+or whose loaded pipeline predicts otherwise, is reported as moved.
 The ``rates.csv`` of a small reference grid is hashed too.
 
 There is one table for every supported Python version. The learners and
@@ -73,9 +75,18 @@ def model_digests(workdir: Path) -> dict[str, str]:
         fitted = FittedPipeline.fit(messages, config)
         path = workdir / f"{name}.json"
         fitted.save(path)
+        predictions = [fitted.predict_text(t) for t in HELD_OUT]
         h = hashlib.sha256(path.read_bytes())
-        h.update(repr([fitted.predict_text(t) for t in HELD_OUT]).encode("utf-8"))
-        out[name] = h.hexdigest()[:16]
+        h.update(repr(predictions).encode("utf-8"))
+        # load derives every derived value again; saving what it gives must
+        # write the same bytes, and it must predict the same
+        loaded = FittedPipeline.load(path)
+        loaded.save(workdir / "resaved.json")
+        same = (workdir / "resaved.json").read_bytes() == path.read_bytes()
+        if not same or [loaded.predict_text(t) for t in HELD_OUT] != predictions:
+            out[name] = "load/save round trip differs"
+        else:
+            out[name] = h.hexdigest()[:16]
     return out
 
 

@@ -466,16 +466,71 @@ COLLOCATION_PARAMETERS = {"discount": 7.0, "min_count": 9, "threshold": 2e-4}
 def test_predict_rejects_collocation_parameters_other_than_the_config(
     field, saved_models, tmp_path, capsys
 ):
-    # load rebuilds each merge set from the parameters stored next to it
+    # load derives each collocation model's parameters from the config
     doc = json.loads(saved_models["svm"].read_text(encoding="utf-8"))
     doc["collocations"][0][field] = COLLOCATION_PARAMETERS[field]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ModelFileError, match="collocation model parameters do not match the config"):
+    with pytest.raises(ModelFileError, match="stored collocations does not match what the config"):
         FittedPipeline.load(path)
     capsys.readouterr()
     assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
     assert capsys.readouterr().err.startswith(f"error: model file {path} is malformed: ")
+
+
+def _double_norms(doc):
+    norms = doc["model"]["params"]["norms"]
+    norms[:] = [2 * x for x in norms]
+
+
+# (kind, edit of a saved model file, the section it leaves unequal to what load derives)
+UNDERIVED = {
+    "knn-k": ("knn", lambda doc: doc["model"]["params"].update(k=7), "model"),
+    "knn-norm-negative": ("knn", lambda doc: doc["model"]["params"]["norms"].__setitem__(0, -1.0), "model"),
+    "knn-norms-doubled": ("knn", _double_norms, "model"),
+    "nb-alpha": ("nb", lambda doc: doc["model"]["params"].update(alpha=99.0), "model"),
+    "selected-terms": ("svm", lambda doc: doc["stats"].update(selected_terms=-1), "stats"),
+    "extra-unigram": ("svm", lambda doc: doc["collocations"][0]["unigram_counts"].update(zzzz=1), "collocations"),
+    "unknown-top-level-key": ("svm", lambda doc: doc.update(comment="hand-edited"), "comment"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDERIVED))
+def test_predict_rejects_stored_values_that_load_does_not_derive(case, saved_models, tmp_path, capsys):
+    kind, mutate, section = UNDERIVED[case]
+    doc = json.loads(saved_models[kind].read_text(encoding="utf-8"))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFileError, match=f"stored {section} does not match what the config"):
+        FittedPipeline.load(path)
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    assert capsys.readouterr().err.startswith(f"error: model file {path} is malformed: ")
+
+
+@pytest.mark.parametrize("length", [False, True])
+def test_load_refuses_has_length_stored_as_an_integer(length, tmp_path, corpus_path):
+    model = train_model(tmp_path, corpus_path, ["--length-feature"] if length else [])
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    assert doc["model"]["has_length"] is length
+    doc["model"]["has_length"] = int(length)  # equal to the bool under ==
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFileError, match="stored model does not match"):
+        FittedPipeline.load(model)
+
+
+@pytest.mark.parametrize("field,value", [("spam_fraction", 7.0), ("spam_fraction", -0.5), ("samples", -4), ("samples", 2.0)])
+def test_dt_leaf_out_of_range_fails_to_load(field, value, saved_models, tmp_path, capsys):
+    doc = json.loads(saved_models["dt"].read_text(encoding="utf-8"))
+    leaf = doc["model"]["params"]["nodes"][0]  # train() appends a leaf first
+    assert "spam_fraction" in leaf
+    leaf[field] = value
+    path = tmp_path / "leaf.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    assert capsys.readouterr().err == f"error: model file {path} is malformed: dt node 0 is malformed\n"
 
 
 def test_predict_refuses_a_model_rule_that_can_match_the_empty_string(
@@ -502,6 +557,66 @@ def _json_paths(node, path=()):
     for key, child in children:
         yield path + (key,)
         yield from _json_paths(child, path + (key,))
+
+
+# Key paths of a model file's leaves, "*" standing for any key or index. Load
+# reads the free ones as they are (format_version is checked on its own) and
+# derives the others again from them and the config. Of the stats, a trained
+# model stores two free ones and the rule baseline one.
+FREE_LEAVES = [
+    ("format_version",), ("config", "*"), ("entity_rules", "*", "*"),
+    ("collocations", "*", "unigram_counts", "*"), ("collocations", "*", "bigram_counts", "*", "*"),
+    ("vocabulary", "terms", "*"), ("vocabulary", "doc_freq", "*"), ("vocabulary", "num_docs"),
+    ("model", "params", "log_prior", "*"), ("model", "params", "log_likelihood", "*", "*"),
+    ("model", "params", "weights", "*"), ("model", "params", "bias"),
+    ("model", "params", "nodes", "*", "*"), ("model", "params", "root"),
+    ("model", "params", "rows", "*", "*", "*"), ("model", "params", "labels", "*"),
+]
+DERIVED_LEAVES = [
+    ("collocations", "*", "discount"), ("collocations", "*", "min_count"), ("collocations", "*", "threshold"),
+    ("vocabulary",), ("model", "kind"), ("model", "n_slots"), ("model", "has_length"),
+    ("model", "vocab_fingerprint"), ("model", "params", "alpha"), ("model", "params", "k"),
+    ("model", "params", "norms", "*"),
+]
+
+
+def _listed(path, patterns) -> bool:
+    return any(
+        len(pattern) == len(path) and all(p in ("*", key) for p, key in zip(pattern, path))
+        for pattern in patterns
+    )
+
+
+def _unequal(value):
+    """A value that differs from ``value`` under ==, not only in type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    return value + "x" if isinstance(value, str) else {}
+
+
+@pytest.mark.parametrize("kind", ["baseline", "nb", "svm", "lr", "dt", "knn"])
+def test_every_model_file_leaf_is_free_or_derived_and_load_checks_the_derived(
+    kind, saved_models, stdin_models, tmp_path
+):
+    doc = json.loads((stdin_models if kind == "baseline" else saved_models)[kind].read_text(encoding="utf-8"))
+    stats = ("messages",) if kind == "baseline" else ("raw_terms", "preprocessed_terms")
+    free = FREE_LEAVES + [("stats", name) for name in stats]
+    derived = DERIVED_LEAVES + [("stats", name) for name in doc["stats"] if name not in stats]
+    leaves = [p for p in _json_paths(doc) if not isinstance(reduce(getitem, p, doc), (dict, list))]
+    assert [p for p in leaves if _listed(p, free) == _listed(p, derived)] == []
+    path = tmp_path / "edited.json"
+    checked = [p for p in leaves if _listed(p, derived)]
+    assert checked
+    for leaf in checked:
+        edited = json.loads(json.dumps(doc))
+        *parents, key = leaf
+        owner = reduce(getitem, parents, edited)
+        owner[key] = _unequal(owner[key])
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        with pytest.raises(ModelFileError, match=f"stored {leaf[0]} does not match what the config"):
+            FittedPipeline.load(path)
 
 
 # one value of each JSON type, so every value can be given another type, and

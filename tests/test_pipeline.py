@@ -321,7 +321,7 @@ def test_load_rejects_tampered_vocabulary(tmp_path):
     df["zzzz"] = df.pop(terms[0])
     terms[0] = "zzzz"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ModelFileError, match="fingerprint"):
+    with pytest.raises(ModelFileError, match="stored model does not match what the config"):
         FittedPipeline.load(path)
 
 
