@@ -300,6 +300,8 @@ def run_grid(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     folds.validate()
+    for cfg in configs:  # a bad config fails the grid before any fit or pool
+        cfg.validate()
     rules = rules or EntityRuleSet.default()
     n = min(jobs, len(configs))
     if n > 1:

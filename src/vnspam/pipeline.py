@@ -70,8 +70,9 @@ _FIELD_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Everything that determines a fit, so runs are reproducible.
+class PipelineConfig(Hyperparams):
+    """Everything that determines a fit, so runs are reproducible: the
+    learner knobs it inherits, and the stages' settings.
 
     The defaults are the shipped configuration: preprocessing on, bag of
     words, linear svm, document-frequency cutoff 3, length feature on.
@@ -82,19 +83,13 @@ class PipelineConfig:
     preprocess: bool = True
     min_df: int = 3
     length_feature: bool = True
-    seed: int = Hyperparams.seed
     discount: float = 5.0
     colloc_threshold: float = 1e-4
     min_count: int = 10
     passes: int = 1
     nfc: bool = False
-    alpha: float = Hyperparams.alpha
-    reg_lambda: float = Hyperparams.reg_lambda
-    epochs: int = Hyperparams.epochs
-    max_depth: int = Hyperparams.max_depth
-    k: int = Hyperparams.k
 
-    def validate(self) -> None:
+    def validate(self, kind: str | None = None) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             # every field goes into the model file, whichever learner reads it;
@@ -125,10 +120,7 @@ class PipelineConfig:
             raise ValueError(f"collocation threshold must be > 0, got {self.colloc_threshold}")
         if self.min_count < 1:
             raise ValueError(f"min-count must be >= 1, got {self.min_count}")
-        self.hyperparams().validate(self.classifier)
-
-    def hyperparams(self) -> Hyperparams:
-        return Hyperparams(**{f.name: getattr(self, f.name) for f in fields(Hyperparams)})
+        super().validate(kind or self.classifier)
 
     @property
     def name(self) -> str:
@@ -242,7 +234,7 @@ def _fit_rows(
     vectors = [_featurize(s, n.text, vocab, config) for s, n in zip(streams, rows)]
     rows.clear()
     del streams
-    model = train(config.classifier, vectors, labels, config.hyperparams(), plan("orders", lambda: None))
+    model = train(config.classifier, vectors, labels, config, plan("orders", lambda: None))
     return FittedPipeline(config, rules, collocations, vocab, model, None)
 
 
@@ -282,7 +274,7 @@ class FittedPipeline:
         if not messages:
             raise ValueError("cannot fit a pipeline on an empty corpus")
         if config.classifier == "baseline":  # the rule reads no stage output
-            model = train("baseline", [], [], config.hyperparams())
+            model = train("baseline", [], [], config)
             return cls(config, rules, [], None, model, FitStats(len(messages), 0, 0, 0))
         rows = _normalize_all(messages, config, rules)
         stats = [len(messages), len({tok for n in rows for tok in n.text.split()}), 0]
@@ -422,25 +414,44 @@ class FittedPipeline:
             for cd in doc["collocations"]
         ]
         stats = doc["stats"]
+        counted = {"messages": 1} if config.classifier == "baseline" else {"raw_terms": 0, "preprocessed_terms": 0}
+        for name, low in counted.items():  # the free stats: fit counts them, load cannot derive them
+            if type(stats[name]) is not int or stats[name] < low:
+                raise ValueError(f"stats {name} must be an integer >= {low}")
         if config.classifier == "baseline":
             vocab = None
-            model = train("baseline", [], [], config.hyperparams())
+            model = train("baseline", [], [], config)
             stats = FitStats(stats["messages"], 0, 0, 0)
         else:
             vocab = Vocabulary(**doc["vocabulary"])
             slots = len(vocab) + (1 if config.length_feature else 0)
-            params = load_params(config.classifier, doc["model"]["params"], slots, config.hyperparams())
+            params = load_params(config.classifier, doc["model"]["params"], slots, config)
             model = TrainedModel(config.classifier, params, slots, config.length_feature, vocab.fingerprint)
             stats = FitStats(vocab.num_docs, stats["raw_terms"], stats["preprocessed_terms"], len(vocab))
         fitted = cls(config, rules, collocations, vocab, model, stats)
         built = fitted._to_doc()
-        # ... stands for a missing key; == takes 1 for True, so has_length is held to its type
-        differs = [key for key in sorted(doc.keys() | built.keys()) if doc.get(key, ...) != built.get(key, ...)]
-        if not differs and doc["model"]["has_length"] is not model.has_length:
-            differs = ["model"]
+        # ... stands for a missing key
+        differs = [key for key in sorted(doc.keys() | built.keys()) if not _same(doc.get(key, ...), built.get(key, ...))]
         if differs:
             raise ValueError(f"stored {differs[0]} does not match what the config and learned data derive")
         return fitted
+
+
+def _same(stored, built) -> bool:
+    """``stored == built`` with JSON types kept apart: ``true`` equals no
+    number and a float never stands for a derived int, but an int may stand
+    for a derived float, as version 1 files store ``5`` for ``5.0``."""
+    if stored is built:  # free data the rebuilt document shares
+        return True
+    if type(built) is dict:
+        return type(stored) is dict and stored.keys() == built.keys() and all(
+            _same(stored[key], value) for key, value in built.items()
+        )
+    if type(built) is list:
+        return type(stored) is list and len(stored) == len(built) and all(map(_same, stored, built))
+    if type(built) is float and type(stored) is int:
+        return stored == built
+    return type(stored) is type(built) and stored == built
 
 
 def _finite_float(literal: str) -> float:

@@ -806,3 +806,33 @@ def test_knn_dot_product_sums_left_to_right():
     # The running total is 0.0, which puts row 1 at distance 1.0 like the
     # untouched row 0, and the tie goes to the lower index.
     assert _knn_neighbors(model.params, fv(query, 7), model.knn_postings) == [0]
+
+
+def test_decision_score_rejects_an_unknown_kind():
+    with pytest.raises(ValueError) as exc:
+        decision_score(_hand_model("forest", {}), _ONES)
+    assert str(exc.value) == "unknown classifier kind 'forest'"
+
+
+@pytest.mark.parametrize("prior", ["0.5", None, True, 10**400])
+def test_load_params_refuses_an_nb_log_prior_that_is_not_a_number(prior):
+    from vnspam.classifiers import load_params
+
+    stored = {"log_prior": {"spam": prior, "ham": 0.0}, "log_likelihood": {"spam": [0.0], "ham": [0.0]}}
+    with pytest.raises(ValueError) as exc:
+        load_params("nb", stored, 1, Hyperparams())
+    assert str(exc.value) == "nb log_prior['spam'] is not a number"
+
+
+def test_train_takes_a_pipeline_config_as_its_hyperparams():
+    from vnspam import PipelineConfig
+
+    vecs = [fv({0: 1}, 2), fv({1: 2}, 2), fv({0: 2}, 2), fv({1: 1}, 2)]
+    config = PipelineConfig(classifier="svm", seed=4, epochs=3, reg_lambda=1e-2)
+    model = train("svm", vecs, labels([1, 0, 1, 0]), config)
+    assert model == train("svm", vecs, labels([1, 0, 1, 0]), Hyperparams(seed=4, epochs=3, reg_lambda=1e-2))
+    # train checks every config field, not only the learner's
+    with pytest.raises(ValueError, match="min-df must be >= 1, got 0"):
+        train("svm", vecs, labels([1, 0, 1, 0]), PipelineConfig(min_df=0))
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        train("knn", vecs, labels([1, 0, 1, 0]), PipelineConfig(k=0))

@@ -27,6 +27,7 @@ from vnspam import (
 )
 from vnspam.classifiers import KINDS
 from vnspam.cli import _config_from_args, build_parser, main
+from vnspam.pipeline import FitStats
 from vnspam.preprocess import ENTITY_GROUPS
 
 from conftest import synth_corpus
@@ -184,7 +185,9 @@ def test_nfc_has_no_negative_flag(corpus_path):
 
 
 def test_config_hyperparams_default_to_hyperparams_defaults():
-    assert PipelineConfig().hyperparams() == Hyperparams()
+    config_defaults = {f.name: f.default for f in fields(PipelineConfig)}
+    for f in fields(Hyperparams):
+        assert config_defaults[f.name] == f.default, f.name
 
 
 def test_help_shows_every_config_default(capsys, monkeypatch):
@@ -458,6 +461,47 @@ def test_predict_rejects_an_integer_discount_beyond_float(
         assert "discount must be a finite number, got an integer of 1329 bits" in err
 
 
+# (edit of a stored collocation model, the message's end after the first bigram it names)
+BAD_COLLOCATION_COUNTS = {
+    "bigram-below-min-count": (
+        lambda cd: cd["bigram_counts"][0].__setitem__(2, cd["min_count"] - 1),
+        "stored with count 0 < min_count",
+    ),
+    "bigram-without-unigram": (
+        lambda cd: cd["unigram_counts"].pop(cd["bigram_counts"][0][0]),
+        "references missing unigram count",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COLLOCATION_COUNTS))
+def test_predict_rejects_a_stored_bigram_its_collocation_model_refuses(
+    case, tmp_path, corpus_path, capsys
+):
+    mutate, message = BAD_COLLOCATION_COUNTS[case]
+    model = train_model(tmp_path, corpus_path, extra=["--min-count", "1"])
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    cd = doc["collocations"][0]
+    a, b, _ = cd["bigram_counts"][0]
+    mutate(cd)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    assert capsys.readouterr().err == f"error: model file {path} is malformed: bigram {(a, b)!r} {message}\n"
+
+
+def test_predict_rejects_a_model_file_that_is_not_utf8(saved_models, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(saved_models["svm"].read_bytes().replace(b'"svm"', b'"svm\xff"', 1))
+    with pytest.raises(ModelFileError) as exc:
+        FittedPipeline.load(path)
+    assert str(exc.value).startswith(f"model file {path} is not valid UTF-8: ")
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    assert capsys.readouterr().err.startswith(f"error: model file {path} is not valid UTF-8: ")
+
+
 # a value other than the config's for each parameter a stored collocation model carries
 COLLOCATION_PARAMETERS = {"discount": 7.0, "min_count": 9, "threshold": 2e-4}
 
@@ -478,6 +522,14 @@ def test_predict_rejects_collocation_parameters_other_than_the_config(
     assert capsys.readouterr().err.startswith(f"error: model file {path} is malformed: ")
 
 
+def _as_float(owner, key):
+    def mutate(doc):
+        section = reduce(getitem, owner, doc)
+        section[key] = float(section[key])
+
+    return mutate
+
+
 def _double_norms(doc):
     norms = doc["model"]["params"]["norms"]
     norms[:] = [2 * x for x in norms]
@@ -492,6 +544,13 @@ UNDERIVED = {
     "selected-terms": ("svm", lambda doc: doc["stats"].update(selected_terms=-1), "stats"),
     "extra-unigram": ("svm", lambda doc: doc["collocations"][0]["unigram_counts"].update(zzzz=1), "collocations"),
     "unknown-top-level-key": ("svm", lambda doc: doc.update(comment="hand-edited"), "comment"),
+    # equal to the derived value under ==, in another JSON type
+    "format-version-true": ("svm", lambda doc: doc.update(format_version=True), "format_version"),
+    "nb-alpha-true": ("nb", lambda doc: doc["model"]["params"].update(alpha=True), "model"),
+    "knn-k-float": ("knn", _as_float(("model", "params"), "k"), "model"),
+    "n-slots-float": ("svm", _as_float(("model",), "n_slots"), "model"),
+    "messages-float": ("svm", _as_float(("stats",), "messages"), "stats"),
+    "min-count-float": ("svm", _as_float(("collocations", 0), "min_count"), "collocations"),
 }
 
 
@@ -518,6 +577,39 @@ def test_load_refuses_has_length_stored_as_an_integer(length, tmp_path, corpus_p
     model.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ModelFileError, match="stored model does not match"):
         FittedPipeline.load(model)
+
+
+def test_load_takes_an_int_for_a_derived_float(saved_models, tmp_path):
+    # version 1 files store an integral float such as the discount 5.0 as 5
+    doc = json.loads(saved_models["svm"].read_text(encoding="utf-8"))
+    assert doc["collocations"][0]["discount"] == 5.0
+    doc["collocations"][0]["discount"] = 5
+    path = tmp_path / "v1-style.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = FittedPipeline.load(path)
+    original = FittedPipeline.load(saved_models["svm"])
+    assert [loaded.predict_text(text) for text in PROBES] == [original.predict_text(text) for text in PROBES]
+
+
+# (kind, stat, its least value): the stats fit counts and no stored value derives
+FREE_STATS = [("svm", "raw_terms", 0), ("svm", "preprocessed_terms", 0), ("baseline", "messages", 1)]
+
+
+@pytest.mark.parametrize("value", ["many", -5, True, 2.0, None])  # None: one below the least
+@pytest.mark.parametrize("kind,stat,low", FREE_STATS)
+def test_load_refuses_a_free_stat_that_is_no_count(kind, stat, low, value, stdin_models, tmp_path, capsys):
+    doc = json.loads(stdin_models[kind].read_text(encoding="utf-8"))
+    path = tmp_path / "stats.json"
+    doc["stats"][stat] = low
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert FittedPipeline.load(path).stats == FitStats(**doc["stats"])
+    doc["stats"][stat] = low - 1 if value is None else value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    assert capsys.readouterr().err == (
+        f"error: model file {path} is malformed: stats {stat} must be an integer >= {low}\n"
+    )
 
 
 @pytest.mark.parametrize("field,value", [("spam_fraction", 7.0), ("spam_fraction", -0.5), ("samples", -4), ("samples", 2.0)])

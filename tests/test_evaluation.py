@@ -368,6 +368,26 @@ def test_run_grid_pooled_raises_the_first_failing_config_in_grid_order():
     assert str(pooled.value) == str(serial.value)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_grid_checks_every_config_before_it_evaluates_any(jobs, serial_pool, monkeypatch):
+    from dataclasses import replace
+
+    from vnspam import evaluation
+
+    def fail(*args, **kwargs):
+        raise AssertionError("evaluated before the last config was checked")
+
+    for name in ("_normalize_all", "_fit_rows", "evaluate_baseline"):
+        monkeypatch.setattr(evaluation, name, fail)
+    corpus = synth_corpus(60, seed=3)
+    folds = stratified_kfold(corpus, k=2)
+    grid = reference_grid(PipelineConfig(epochs=2))
+    grid[-1] = replace(grid[-1], reg_lambda=0.0)
+    with pytest.raises(ValueError, match="lambda must be > 0, got 0.0"):
+        run_grid(corpus, folds, grid, jobs=jobs)
+    assert serial_pool == []  # no worker pool was started either
+
+
 def test_each_fold_model_is_freed_before_the_next_fold_fits(small_corpus, monkeypatch):
     import weakref
 

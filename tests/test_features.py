@@ -59,6 +59,11 @@ def test_vocabulary_rejects_bad_inputs():
         Vocabulary(["a"], {"a": 5}, num_docs=3)
     with pytest.raises(ValueError, match="match terms"):
         Vocabulary(["a"], {"a": 1, "b": 1}, num_docs=3)
+    with pytest.raises(ValueError, match="^vocabulary needs at least one fitting document$"):
+        Vocabulary([], {}, num_docs=0)
+    # one extra doc_freq key makes the key count match the two listed terms
+    with pytest.raises(ValueError, match="^duplicate terms in vocabulary$"):
+        Vocabulary(["a", "a"], {"a": 1, "b": 1}, num_docs=3)
 
 
 def test_min_df_one_indexes_every_token():

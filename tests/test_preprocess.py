@@ -582,6 +582,8 @@ def test_model_validates_inputs():
         CollocationModel(0.0, 1, 0.0, {}, {})
     with pytest.raises(ValueError, match="discount"):
         CollocationModel(-1.0, 1, 1e-4, {}, {})
+    with pytest.raises(ValueError, match=r"^min_count must be >= 1, got 0$"):
+        CollocationModel(0.0, 0, 1e-4, {}, {})
 
 
 def test_merges_by_score_sorted_descending():
