@@ -19,6 +19,8 @@ __all__ = [
 # Characters in a single-part SMS; used to normalize the message-length feature.
 SMS_CAPACITY = 160
 
+_setattr = object.__setattr__  # past a frozen dataclass's __setattr__
+
 
 class Vocabulary:
     """Term list with document frequencies, fixed at fit time.
@@ -32,10 +34,14 @@ class Vocabulary:
         self.terms = tuple(terms)
         self.doc_freq = dict(doc_freq)
         self.num_docs = num_docs
+        if type(num_docs) is not int:  # bool excluded: documents are counted
+            raise ValueError(f"num_docs must be an integer, got {type(num_docs).__name__}")
         if num_docs < 1:
             raise ValueError("vocabulary needs at least one fitting document")
         for t in self.terms:
             df = self.doc_freq.get(t)
+            if df is not None and type(df) is not int:
+                raise ValueError(f"term {t!r} has document frequency of type {type(df).__name__}")
             if df is None or not 1 <= df <= num_docs:
                 raise ValueError(f"term {t!r} has document frequency {df!r}")
         if len(self.doc_freq) != len(self.terms):
@@ -59,9 +65,14 @@ class Vocabulary:
 class FeatureVector:
     """Sparse row over vocabulary slots, plus an optional length slot.
 
-    weights maps each nonzero slot to its value in strictly ascending index
-    order; every learner reads it in that order as it stands. With has_length
-    the row has one more slot, at index dim, last in weights when nonzero.
+    weights maps each nonzero slot to its finite value in strictly ascending
+    index order; every learner reads it in that order as it stands. With
+    has_length the row has one more slot, at index dim, last in weights when
+    nonzero. ``FeatureVector(...)`` checks the row: dim is an ``int`` >= 0,
+    has_length a ``bool``, each slot an ``int`` (not a bool) in order and in
+    range, each weight an ``int`` or ``float`` (not a bool), nonzero and
+    finite. ``vectorize_bow`` and ``vectorize_tfidf`` build their rows valid
+    by construction and skip the checks.
     """
 
     weights: dict[int, float]
@@ -70,16 +81,39 @@ class FeatureVector:
     vocab_fingerprint: str | None = None
 
     def __post_init__(self):
+        if type(self.dim) is not int or self.dim < 0:
+            raise ValueError(f"dim must be an integer >= 0, got {self.dim!r}")
+        if type(self.has_length) is not bool:
+            raise ValueError(f"has_length must be a bool, got {self.has_length!r}")
         end = self.n_slots
         prev = -1
         for idx, w in self.weights.items():
+            if type(idx) is not int:
+                raise ValueError(f"feature index {idx!r} is not an integer")
             if not prev < idx < end:
                 raise ValueError(f"feature index {idx} out of order or out of range for {end} slots")
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise ValueError(f"weight {w!r} stored at index {idx} is not a number")
             if w == 0:
                 raise ValueError(f"zero weight stored at index {idx}")
             if not math.isfinite(w):
                 raise ValueError(f"non-finite weight {w!r} stored at index {idx}")
             prev = idx
+
+    @classmethod
+    def _of(cls, weights: dict, dim: int, has_length: bool, vocab_fingerprint: str) -> "FeatureVector":
+        """The row ``FeatureVector(...)`` gives, without its checks, for a
+        caller whose rows hold by construction what ``__post_init__`` checks.
+
+        Each field is set as the dataclass ``__init__`` sets it; writing into
+        ``row.__dict__`` instead would give every row its own dict, 64 bytes
+        more on Python 3.11."""
+        row = object.__new__(cls)
+        _setattr(row, "weights", weights)
+        _setattr(row, "dim", dim)
+        _setattr(row, "has_length", has_length)
+        _setattr(row, "vocab_fingerprint", vocab_fingerprint)
+        return row
 
     @property
     def n_slots(self) -> int:
@@ -133,6 +167,14 @@ def _put_length(weights: dict, dim: int, length_text: str | None) -> bool:
     return True
 
 
+# The two vectorizers build rows through FeatureVector._of, unchecked, because
+# each row is valid by construction: the keys are sorted Vocabulary.index ids,
+# all below dim, with the length slot dim last; a count is an int >= 1; a
+# tf-idf weight is c * ln(n / df) with integers 1 <= df <= n (Vocabulary
+# refuses any other), finite, and stored only when nonzero; a stored length is
+# len(text) / SMS_CAPACITY > 0.
+
+
 def vectorize_bow(doc, vocab: Vocabulary, length_text: str | None = None) -> FeatureVector:
     """Raw term counts. Out-of-vocabulary tokens are dropped.
 
@@ -142,7 +184,7 @@ def vectorize_bow(doc, vocab: Vocabulary, length_text: str | None = None) -> Fea
     weights = _counts(doc, vocab)
     dim = len(vocab)
     has_length = _put_length(weights, dim, length_text)
-    return FeatureVector(weights, dim, has_length, vocab.fingerprint)
+    return FeatureVector._of(weights, dim, has_length, vocab.fingerprint)
 
 
 def vectorize_tfidf(doc, vocab: Vocabulary, length_text: str | None = None) -> FeatureVector:
@@ -154,12 +196,12 @@ def vectorize_tfidf(doc, vocab: Vocabulary, length_text: str | None = None) -> F
     n, doc_freq, terms = vocab.num_docs, vocab.doc_freq, vocab.terms
     weights = {}
     for i, c in _counts(doc, vocab).items():
-        df = doc_freq[terms[i]]
-        if df != n:
-            weights[i] = c * math.log(n / df)
+        w = c * math.log(n / doc_freq[terms[i]])
+        if w:  # ln(1) for df == n; n / df also rounds to 1.0 once n > 2**53
+            weights[i] = w
     dim = len(vocab)
     has_length = _put_length(weights, dim, length_text)
-    return FeatureVector(weights, dim, has_length, vocab.fingerprint)
+    return FeatureVector._of(weights, dim, has_length, vocab.fingerprint)
 
 
 def append_length(vector: FeatureVector, raw_text: str) -> FeatureVector:

@@ -283,9 +283,9 @@ def collocation_score(
 class CollocationModel:
     """Adjacent-pair counts plus the derived set of pairs worth merging.
 
-    Stored bigrams all have count >= min_count; the merge set additionally
-    requires collocation_score(...) > threshold. Instances are immutable and
-    safe to share across threads.
+    Every count is an ``int`` >= 1 and stored bigrams all have count >=
+    min_count; the merge set additionally requires collocation_score(...) >
+    threshold. Instances are immutable and safe to share across threads.
     """
 
     def __init__(
@@ -302,7 +302,12 @@ class CollocationModel:
             raise ValueError(f"min_count must be >= 1, got {min_count}")
         if threshold <= 0:
             raise ValueError(f"threshold must be > 0, got {threshold}")
+        for tok, c in unigram_counts.items():  # bool excluded: tokens are counted
+            if type(c) is not int or c < 1:
+                raise ValueError(f"unigram count of {tok!r} must be an integer >= 1")
         for (a, b), c in bigram_counts.items():
+            if type(c) is not int:
+                raise ValueError(f"bigram {(a, b)!r} count must be an integer >= {min_count}")
             if c < min_count:
                 raise ValueError(f"bigram {(a, b)!r} stored with count {c} < min_count")
             if a not in unigram_counts or b not in unigram_counts:

@@ -491,6 +491,58 @@ def test_predict_rejects_a_stored_bigram_its_collocation_model_refuses(
     assert capsys.readouterr().err == f"error: model file {path} is malformed: bigram {(a, b)!r} {message}\n"
 
 
+# (count to store, side it replaces: the first bigram's left token or the bigram itself)
+BAD_COUNT_CASES = {
+    "unigram-zero": (0, "unigram"),  # the merge score used to divide by it
+    "unigram-negative": (-3, "unigram"),  # it used to flip the merge score's sign
+    "unigram-float": (1.5, "unigram"),
+    "bigram-true": (True, "bigram"),
+    "bigram-float": (1.0, "bigram"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNT_CASES))
+def test_predict_rejects_a_collocation_count_that_is_no_count(case, tmp_path, corpus_path, capsys):
+    count, side = BAD_COUNT_CASES[case]
+    model = train_model(tmp_path, corpus_path, extra=["--min-count", "1"])
+    FittedPipeline.load(model)  # the file save wrote loads
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    cd = doc["collocations"][0]
+    a, b, _ = cd["bigram_counts"][0]
+    if side == "unigram":
+        cd["unigram_counts"][a] = count
+        message = f"unigram count of {a!r} must be an integer >= 1"
+    else:
+        cd["bigram_counts"][0][2] = count
+        message = f"bigram {(a, b)!r} count must be an integer >= 1"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFileError, match="must be an integer >= 1$"):
+        FittedPipeline.load(path)
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    assert capsys.readouterr().err == f"error: model file {path} is malformed: {message}\n"
+
+
+@pytest.mark.parametrize("case", ["num-docs", "doc-freq"])
+def test_load_refuses_a_vocabulary_count_stored_as_a_float(case, saved_models, tmp_path, capsys):
+    # a float num_docs used to load: stats.messages, derived from it, may be an int
+    doc = json.loads(saved_models["svm"].read_text(encoding="utf-8"))
+    vocab = doc["vocabulary"]
+    if case == "num-docs":
+        vocab["num_docs"] = float(vocab["num_docs"])
+        message = "num_docs must be an integer, got float"
+    else:
+        term = vocab["terms"][0]
+        vocab["doc_freq"][term] = float(vocab["doc_freq"][term])
+        message = f"term {term!r} has document frequency of type float"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    assert capsys.readouterr().err == f"error: model file {path} is malformed: {message}\n"
+
+
 def test_predict_rejects_a_model_file_that_is_not_utf8(saved_models, tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(saved_models["svm"].read_bytes().replace(b'"svm"', b'"svm\xff"', 1))

@@ -66,6 +66,19 @@ def test_vocabulary_rejects_bad_inputs():
         Vocabulary(["a", "a"], {"a": 1, "b": 1}, num_docs=3)
 
 
+@pytest.mark.parametrize(
+    "num_docs,df,match",
+    [
+        # an infinite num_docs used to give an infinite tf-idf weight
+        *[(n, 1, f"^num_docs must be an integer, got {type(n).__name__}$") for n in (3.0, True, math.inf, "3")],
+        *[(3, df, f"^term 'a' has document frequency of type {type(df).__name__}$") for df in (1.0, 1.5, True)],
+    ],
+)
+def test_vocabulary_refuses_counts_that_are_not_integers(num_docs, df, match):
+    with pytest.raises(ValueError, match=match):
+        Vocabulary(["a"], {"a": df}, num_docs=num_docs)
+
+
 def test_min_df_one_indexes_every_token():
     rng = random.Random(17)
     for _ in range(50):
@@ -138,6 +151,17 @@ def test_zero_length_slot_is_omitted_from_items():
         ({4: 1.0}, 3, True, "out of range"),
         ({3: 0.5, 0: 1.0}, 3, True, "out of order"),
         ({3: 0.0}, 3, True, "zero weight"),  # non-finite values: the two tests above
+        # a float slot used to reach predict's list lookup; True was taken as slot 1
+        ({0.5: 1.0}, 2, False, r"^feature index 0\.5 is not an integer$"),
+        ({True: 1.0}, 2, False, r"^feature index True is not an integer$"),
+        ({0: 1.0, 1.0: 2.0}, 2, False, r"^feature index 1\.0 is not an integer$"),
+        ({"0": 1.0}, 2, False, r"^feature index '0' is not an integer$"),
+        # a float dim used to reach train's list allocation; a str weight raised TypeError
+        ({}, 2.0, False, r"^dim must be an integer >= 0, got 2\.0$"),
+        ({}, -1, False, r"^dim must be an integer >= 0, got -1$"),
+        ({}, 2, 1, r"^has_length must be a bool, got 1$"),
+        ({0: "x"}, 2, False, r"^weight 'x' stored at index 0 is not a number$"),
+        ({0: True}, 2, False, r"^weight True stored at index 0 is not a number$"),
     ],
 )
 def test_vector_rejects_rows_out_of_form(weights, dim, has_length, match):
@@ -201,6 +225,45 @@ def test_featurize_builds_the_two_row_reference_in_one_row(instance, rep, length
     vectorize = {"bow": vectorize_bow, "tfidf": vectorize_tfidf}[rep]
     if length:  # append_length over the plain row gives the same row
         assert append_length(vectorize(query, vocab), text) == vec
+
+
+@st.composite
+def drawn_vocabularies(draw):
+    """A vocabulary drawn directly: any document frequencies, some equal to
+    num_docs, and num_docs up to past 2**53, where n / (n - 1) rounds to 1.0."""
+    num_docs = draw(st.one_of(st.integers(1, 50), st.integers(2**53 - 2, 2**60)))
+    terms = draw(st.lists(st.sampled_from("abcdefgh"), unique=True, max_size=8))
+    df = st.one_of(st.just(num_docs), st.just(max(num_docs - 1, 1)), st.integers(1, num_docs))
+    return Vocabulary(terms, {t: draw(df) for t in terms}, num_docs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        docs_and_vocabularies(),
+        st.tuples(
+            drawn_vocabularies(),
+            st.lists(st.sampled_from("abcdefghz"), max_size=30),
+            st.text(max_size=400),
+        ),
+    ),
+    st.sampled_from(["", None, "text"]),
+)
+def test_vectorizers_build_rows_the_public_constructor_accepts(instance, length):
+    vocab, query, text = instance
+    length_text = text if length == "text" else length
+    olds = {vectorize_bow: oracles.old_vectorize_bow, vectorize_tfidf: oracles.old_vectorize_tfidf}
+    for vectorize, old_vectorize in olds.items():
+        row = vectorize(query, vocab, length_text)
+        rebuilt = FeatureVector(row.weights, row.dim, row.has_length, row.vocab_fingerprint)
+        assert rebuilt == row
+        assert row.has_length is (length_text is not None)
+        if vocab.num_docs < 2**53:  # beyond it the old tf-idf refuses a zero weight it made
+            old = old_vectorize(query, vocab)
+            if length_text is not None:
+                old = oracles.old_append_length(old, length_text)
+            assert repr(list(row.weights.items())) == repr(old.slot_items())  # int apart from float
+            assert row.n_slots == old.n_slots
 
 
 def test_bow_counts():
