@@ -173,18 +173,23 @@ _LEARNED = {
 }
 
 
-def load_params(kind: str, stored: dict, n_slots: int, hp: Hyperparams) -> dict:
-    """A trained kind's params from a model file whose parser refused
-    non-finite numbers: the learned ones, checked against the kind's shape
-    and ``n_slots``, and the ones ``train`` derives from ``hp`` and them."""
+def load_params(kind: str, stored: dict, n_slots: int) -> dict:
+    """The params a trained kind learns, from a model file whose parser
+    refused non-finite numbers, checked against the kind's shape and ``n_slots``."""
     keys, check = _LEARNED[kind]
     params = {key: stored[key] for key in keys}
     check(params, n_slots)
+    return params
+
+
+def _model(kind: str, params: dict, n_slots: int, has_length: bool, fingerprint, hp: Hyperparams) -> TrainedModel:
+    """The model of what ``kind`` learned, with the params it derives from
+    ``hp`` and them added: nb's alpha, knn's k and row norms."""
     if kind == "nb":
         params["alpha"] = hp.alpha
     elif kind == "knn":
         params.update(k=hp.k, norms=_knn_norms(params["rows"]))
-    return params
+    return TrainedModel(kind, params, n_slots, has_length, fingerprint)
 
 
 def rule_baseline(raw_text: str) -> Prediction:
@@ -213,9 +218,7 @@ def train(kind, vectors, labels, hp: Hyperparams | None = None, orders=None) -> 
     hp = hp or Hyperparams()
     hp.validate(kind)
     if kind == "baseline":
-        return TrainedModel(
-            kind=kind, params={}, n_slots=0, has_length=False, vocab_fingerprint=None
-        )
+        return _model(kind, {}, 0, False, None, hp)
 
     vectors = list(vectors)
     labels = list(labels)
@@ -252,14 +255,8 @@ def train(kind, vectors, labels, hp: Hyperparams | None = None, orders=None) -> 
     elif kind == "dt":
         params = _train_dt(vectors, spam_flags, hp.max_depth)
     else:
-        params = _train_knn(vectors, spam_flags, hp.k)
-    return TrainedModel(
-        kind=kind,
-        params=params,
-        n_slots=n_slots,
-        has_length=has_length,
-        vocab_fingerprint=fingerprint,
-    )
+        params = _train_knn(vectors, spam_flags)
+    return _model(kind, params, n_slots, has_length, fingerprint, hp)
 
 
 def predict(model: TrainedModel, vector: FeatureVector) -> Prediction:
@@ -330,11 +327,7 @@ def _train_nb(vectors, spam_flags, alpha: float, n_slots: int) -> dict:
         log_prior[key] = math.log(docs[flag] / total_docs)
         denom = _running_sum(counts[flag]) + alpha * n_slots
         log_likelihood[key] = [math.log((c + alpha) / denom) for c in counts[flag]]
-    return {
-        "alpha": alpha,
-        "log_prior": log_prior,
-        "log_likelihood": log_likelihood,
-    }
+    return {"log_prior": log_prior, "log_likelihood": log_likelihood}
 
 
 def _score_nb(params: dict, vector: FeatureVector) -> float:
@@ -548,12 +541,9 @@ def _score_dt(params: dict, vector: FeatureVector) -> float:
 # -- k nearest neighbors -------------------------------------------------------
 
 
-def _train_knn(vectors, spam_flags, k: int) -> dict:
-    rows = [[[i, v] for i, v in vec.weights.items()] for vec in vectors]
+def _train_knn(vectors, spam_flags) -> dict:
     return {
-        "k": k,
-        "rows": rows,
-        "norms": _knn_norms(rows),
+        "rows": [[[i, v] for i, v in vec.weights.items()] for vec in vectors],
         "labels": ["spam" if f else "ham" for f in spam_flags],
     }
 

@@ -18,8 +18,8 @@ __all__ = [
     "stratified_kfold",
 ]
 
-# Line breaks beyond \n that must never survive inside a message text.
-_FORBIDDEN_IN_TEXT = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# Line breaks that must never survive inside a message text.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class CorpusError(ValueError):
@@ -116,25 +116,35 @@ def load_corpus(path: str | Path) -> Corpus:
             label = Label.from_token(label_token)
         except ValueError:
             raise CorpusError(f"{p}:{lineno}: unknown label {label_token!r}") from None
-        if not body.strip():
-            raise CorpusError(f"{p}:{lineno}: empty message text")
-        if any(map(body.__contains__, _FORBIDDEN_IN_TEXT)):
-            bad = next(ch for ch in body if ch in _FORBIDDEN_IN_TEXT)
-            raise CorpusError(
-                f"{p}:{lineno}: line-break character {bad!r} inside message text"
-            )
+        if fault := _text_fault(body):
+            raise CorpusError(f"{p}:{lineno}: {fault}")
         messages.append(Message(id=len(messages), text=body, label=label))
     return Corpus(messages)
 
 
+def _text_fault(text: str) -> str | None:
+    """Why ``load_corpus`` cannot read ``text`` back as one message text, or None."""
+    if not text.strip():
+        return "empty message text"
+    if any(map(text.__contains__, _LINE_BREAKS)):
+        bad = next(ch for ch in text if ch in _LINE_BREAKS)
+        return f"line-break character {bad!r} inside message text"
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write ``<label>TAB<text>`` lines; inverse of load_corpus for labeled data."""
+    """Write ``<label>TAB<text>`` lines, the inverse of load_corpus for labeled
+    data; a message it cannot read back is refused before anything is written."""
     lines = []
     for m in corpus.messages:
         if m.label is None:
             raise CorpusError(f"message {m.id} has no label, cannot serialize")
-        lines.append(f"{m.label.token}\t{m.text}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+        if fault := _text_fault(m.text):
+            raise CorpusError(f"message {m.id}: {fault}")
+        try:
+            lines.append(f"{m.label.token}\t{m.text}\n".encode("utf-8"))
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise CorpusError(f"message {m.id}: text is not valid UTF-8: {exc.reason}") from None
+    Path(path).write_bytes(b"".join(lines))
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,6 @@ def cross_validate(
     if config.classifier == "baseline":  # the rule reads only the (NFC) text
         scored = [rule_baseline(_nfc(m.text, config)).label for m in corpus.messages]
     else:
-        rules = rules or EntityRuleSet.default()
         plan = plan or _Plan(folds, [config])
         rows = plan.get(_normalize_key(config), lambda: _normalize_all(corpus.messages, config, rules))
 
@@ -302,7 +301,6 @@ def run_grid(
     folds.validate()
     for cfg in configs:  # a bad config fails the grid before any fit or pool
         cfg.validate()
-    rules = rules or EntityRuleSet.default()
     n = min(jobs, len(configs))
     if n > 1:
         from concurrent.futures import ProcessPoolExecutor  # not at the top: loads multiprocessing

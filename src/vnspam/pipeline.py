@@ -24,6 +24,7 @@ from .classifiers import (
     Hyperparams,
     Prediction,
     TrainedModel,
+    _model,
     load_params,
     predict,
     rule_baseline,
@@ -218,7 +219,7 @@ def _featurize(
 
 
 def _fit_rows(
-    rows: list[Normalized], labels, config: PipelineConfig, rules: EntityRuleSet, plan
+    rows: list[Normalized], labels, config: PipelineConfig, rules: EntityRuleSet | None, plan
 ) -> "FittedPipeline":
     """Fit the stages after normalize, with no ``stats``; ``rows`` is emptied
     before the learner runs. ``plan(stage, build)`` returns the ``"segment"``
@@ -269,7 +270,7 @@ class FittedPipeline:
         """Fit every stage on labeled messages."""
         config = config or PipelineConfig()
         config.validate()
-        rules = rules or EntityRuleSet.default()
+        rules = EntityRuleSet.default() if rules is None else rules
         messages = list(messages)
         if not messages:
             raise ValueError("cannot fit a pipeline on an empty corpus")
@@ -425,8 +426,8 @@ class FittedPipeline:
         else:
             vocab = Vocabulary(**doc["vocabulary"])
             slots = len(vocab) + (1 if config.length_feature else 0)
-            params = load_params(config.classifier, doc["model"]["params"], slots, config)
-            model = TrainedModel(config.classifier, params, slots, config.length_feature, vocab.fingerprint)
+            params = load_params(config.classifier, doc["model"]["params"], slots)
+            model = _model(config.classifier, params, slots, config.length_feature, vocab.fingerprint, config)
             stats = FitStats(vocab.num_docs, stats["raw_terms"], stats["preprocessed_terms"], len(vocab))
         fitted = cls(config, rules, collocations, vocab, model, stats)
         built = fitted._to_doc()

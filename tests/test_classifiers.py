@@ -820,7 +820,7 @@ def test_load_params_refuses_an_nb_log_prior_that_is_not_a_number(prior):
 
     stored = {"log_prior": {"spam": prior, "ham": 0.0}, "log_likelihood": {"spam": [0.0], "ham": [0.0]}}
     with pytest.raises(ValueError) as exc:
-        load_params("nb", stored, 1, Hyperparams())
+        load_params("nb", stored, 1)
     assert str(exc.value) == "nb log_prior['spam'] is not a number"
 
 

@@ -128,6 +128,34 @@ def test_rules_file_refuses_a_rule_that_can_match_the_empty_string(tmp_path, cor
     assert out == "" and err.startswith(f"error: {rules}:1: ") and "empty string" in err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "tokenize"])
+def test_a_comment_only_rules_file_tags_nothing(command, tmp_path, capsys, monkeypatch):
+    from vnspam import pipeline
+
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("# no rules, so no entity tagging\n\n", encoding="utf-8")
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("spam\tGoi 0912345678 ngay 20/10\nham\tan com chua :)\n" * 2, encoding="utf-8")
+    tagged = []
+    real = pipeline.tag_entities
+
+    def spy(text, rules=None):
+        tagged.append(real(text, rules))
+        return tagged[-1]
+
+    monkeypatch.setattr(pipeline, "tag_entities", spy)
+    model = tmp_path / "model.json"
+    flags = {"train": ["-o", str(model), "--min-df", "1"], "evaluate": ["--folds", "2", "--min-df", "1"]}
+    assert main([command, str(corpus), "--rules", str(rules), *flags.get(command, [])]) == 0
+    assert set(tagged) == {"goi 0912345678 ngay 20 10", "an com chua"}
+    out = capsys.readouterr().out
+    if command == "train":
+        assert json.loads(model.read_text(encoding="utf-8"))["entity_rules"] == []
+        assert FittedPipeline.load(model).tokens("Goi 0912345678 ngay 20/10") == "goi 0912345678 ngay 20 10".split()
+    if command == "tokenize":
+        assert out == "goi 0912345678 ngay 20 10\nan com chua\n" * 2
+
+
 def test_unknown_flag_is_usage_error(corpus_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", str(corpus_path), "--frobnicate"])
@@ -1038,6 +1066,27 @@ def test_module_entrypoint_help():
     )
     assert proc.returncode == 0
     assert "train" in proc.stdout and "predict" in proc.stdout
+
+
+def test_module_entrypoint_reports_a_missing_model_file(tmp_path):
+    missing = tmp_path / "missing.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "vnspam", "predict", str(missing)],
+        capture_output=True, text=True, stdin=subprocess.DEVNULL,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot read model file {missing}: ")
+    assert proc.stdout == ""
+
+
+def test_module_entrypoint_exits_with_the_command_status(tmp_path, monkeypatch, capsys):
+    import runpy
+
+    monkeypatch.setattr(sys, "argv", ["vnspam", "predict", str(tmp_path / "missing.json")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("vnspam", run_name="__main__")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: cannot read model file ")
 
 
 def test_cli_import_loads_no_process_pool():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnspam import (
     Corpus,
@@ -110,6 +112,53 @@ def test_save_refuses_unlabeled(tmp_path):
     corpus = Corpus([Message(id=0, text="x", label=None)])
     with pytest.raises(CorpusError, match="no label"):
         save_corpus(corpus, tmp_path / "x.tsv")
+
+
+@pytest.mark.parametrize(
+    "text,fault",
+    [
+        ("a\nb", "line-break character '\\n' inside message text"),
+        ("   ", "empty message text"),
+        ("a\rb", "line-break character '\\r' inside message text"),
+        ("x\u2028y", "line-break character '\\u2028' inside message text"),
+        ("x\ud800y", "text is not valid UTF-8: surrogates not allowed"),
+    ],
+)
+def test_save_refuses_a_text_load_cannot_read_back_and_writes_nothing(text, fault, tmp_path):
+    p = write(tmp_path, "ham\tkeep me\n")
+    corpus = Corpus([Message(0, "ok", Label.SPAM), Message(7, text, Label.LEGITIMATE)])
+    with pytest.raises(CorpusError) as exc:
+        save_corpus(corpus, p)
+    assert str(exc.value) == f"message 7: {fault}"
+    assert p.read_bytes() == b"ham\tkeep me\n"
+
+
+# texts load_corpus mostly reads back, and texts of line breaks, blanks and lone surrogates
+_TEXTS = st.text(st.characters(codec="utf-8"), min_size=1, max_size=8) | st.text(
+    st.characters(codec="utf-8") | st.sampled_from("\n\r\t \x0b\x85\u2028\ud800"), max_size=8
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_TEXTS, st.sampled_from(Label)), max_size=3))
+def test_save_refuses_exactly_what_load_cannot_read_back(rows, tmp_path_factory):
+    p = tmp_path_factory.getbasetemp() / "round-trip.tsv"
+    p.write_bytes(b"old")
+    corpus = Corpus(Message(i, text, label) for i, (text, label) in enumerate(rows))
+    try:
+        save_corpus(corpus, p)
+    except CorpusError:
+        assert p.read_bytes() == b"old"
+        # the lines it refused to write do not load back as this corpus
+        raw = "".join(f"{label.token}\t{text}\n" for text, label in rows)
+        p.write_bytes(raw.encode("utf-8", "surrogatepass"))
+        try:
+            loaded = load_corpus(p).messages
+        except CorpusError:
+            loaded = None
+        assert loaded != corpus.messages
+    else:
+        assert load_corpus(p).messages == corpus.messages
 
 
 def test_duplicate_ids_rejected():

@@ -24,7 +24,7 @@ from vnspam import (
     write_csv,
 )
 from vnspam.evaluation import FoldOutcome, _report
-from vnspam.preprocess import EntityRuleSet
+from vnspam.preprocess import EntityRule, EntityRuleSet
 
 import oracles
 from conftest import synth_corpus
@@ -587,6 +587,36 @@ def test_run_grid_matches_unshared_loop(case, tmp_path):
     write_csv(run_grid(corpus, folds, configs, rules, jobs=jobs), tmp_path / "shared.csv")
     write_csv(_unshared_grid(corpus, folds, configs, rules), tmp_path / "unshared.csv")
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "unshared.csv").read_bytes()
+
+
+def _entity_corpus():
+    """Spam and ham that only entity tagging tells apart: every message holds
+    a number no other message holds, a phone number in spam and a short one in ham."""
+    return Corpus(
+        [Message(i, f"goi 09{i:08d} nhe", Label.SPAM) for i in range(0, 40, 2)]
+        + [Message(i, f"goi {100 + i} nhe", Label.LEGITIMATE) for i in range(1, 40, 2)]
+    )
+
+
+@pytest.mark.parametrize("run", ["cross_validate", "jobs1", "jobs2"])
+def test_an_empty_rule_set_tags_nothing(run, tmp_path):
+    corpus = _entity_corpus()
+    folds = stratified_kfold(corpus, k=4)
+    configs = reference_grid(PipelineConfig(epochs=3))
+
+    def rates_csv(rules) -> bytes:
+        if run == "cross_validate":
+            reports = [cross_validate(corpus, folds, configs[2], rules)]
+        else:
+            reports = run_grid(corpus, folds, configs, rules, jobs=int(run[-1]))
+        write_csv(reports, tmp_path / "rates.csv")
+        return (tmp_path / "rates.csv").read_bytes()
+
+    # a rule that matches none of these texts tags nothing too
+    untagged = rates_csv(EntityRuleSet([EntityRule("number", "x")]))
+    assert rates_csv(EntityRuleSet([])) == untagged
+    # None means the built-in rules
+    assert rates_csv(None) == rates_csv(EntityRuleSet.default()) != untagged
 
 
 def test_evaluation_tags_each_message_once_per_run(small_corpus, monkeypatch):

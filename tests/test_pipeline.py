@@ -122,6 +122,18 @@ def test_preprocess_tokens_are_tagged_and_segmented(small_corpus):
     assert "<date>" in " ".join(toks)
 
 
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "none"])
+def test_fit_keeps_an_empty_rule_set_and_none_means_the_built_in_rules(empty, small_corpus, tmp_path):
+    fitted = FittedPipeline.fit(small_corpus.messages, FAST, EntityRuleSet([]) if empty else None)
+    want = [] if empty else list(EntityRuleSet.default())
+    tokens = "goi 0912345678 ngay 20 10" if empty else "goi <phone> ngay <date>"
+    fitted.save(tmp_path / "m.json")
+    for p in (fitted, FittedPipeline.load(tmp_path / "m.json")):
+        assert list(p.rules) == want
+        assert p.tokens("Goi 0912345678 ngay 20/10") == tokens.split()
+        assert any(term.startswith("<") for term in p.vocab.terms) != empty
+
+
 def test_fit_segmentation_keeps_one_str_per_distinct_token():
     # segment builds each merged token per occurrence; evaluation keeps
     # the segmented streams, so they must hold one copy of each token
@@ -381,7 +393,7 @@ def test_files_from_the_old_writer_still_load_and_predict(kind, tmp_path):
 
 
 def _tag_entities_per_char(text, rules=None):
-    compiled = [(r.group, r.regex) for r in (rules or EntityRuleSet.default())]
+    compiled = [(r.group, r.regex) for r in (EntityRuleSet.default() if rules is None else rules)]
     return oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
 
 

@@ -208,7 +208,7 @@ def test_tagging_matches_per_character_loop(rules, text):
     # case-insensitively in the reserved-token pass. The placeholder pass
     # looks each group up in a fixed table, the string the template
     # r" <\1> " expands to, whatever the rule set.
-    compiled = [(r.group, r.regex) for r in (rules or EntityRuleSet.default())]
+    compiled = [(r.group, r.regex) for r in (EntityRuleSet.default() if rules is None else rules)]
     want = oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
     assert tag_entities(text, rules) == want
 
@@ -584,6 +584,25 @@ def test_model_validates_inputs():
         CollocationModel(-1.0, 1, 1e-4, {}, {})
     with pytest.raises(ValueError, match=r"^min_count must be >= 1, got 0$"):
         CollocationModel(0.0, 0, 1e-4, {}, {})
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("discount", -0.5, "discount must be >= 0, got -0.5"),
+        ("min_count", 0, "min_count must be >= 1, got 0"),
+        ("threshold", 0.0, "threshold must be > 0, got 0.0"),
+        ("threshold", -1e-4, "threshold must be > 0, got -0.0001"),
+    ],
+)
+def test_model_and_fit_refuse_bad_parameters(field, value, message):
+    params = {"discount": 5.0, "min_count": 10, "threshold": 1e-4, field: value}
+    with pytest.raises(ValueError) as exc:
+        CollocationModel(**params, unigram_counts={}, bigram_counts={})
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        fit_collocations([["a", "b"]], **params)
+    assert str(exc.value) == message
 
 
 def test_merges_by_score_sorted_descending():
