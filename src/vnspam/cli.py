@@ -93,7 +93,7 @@ def _inputs(args: argparse.Namespace) -> tuple[PipelineConfig, EntityRuleSet | N
     """The checked config, then the rules and the corpus the flags name."""
     config = _config_from_args(args)
     config.validate()
-    rules = EntityRuleSet.from_file(args.rules) if args.rules else None
+    rules = EntityRuleSet.from_file(args.rules) if args.rules is not None else None
     return config, rules, load_corpus(args.corpus)
 
 

@@ -187,16 +187,15 @@ def stratified_kfold(corpus: Corpus, k: int, seed: int = 42) -> FoldAssignment:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     _require_labels(corpus, "fold")
+    for label, n in corpus.counts.items():  # before any list sized by k
+        if n < k:
+            raise ValueError(f"class {label.token!r} has {n} messages, fewer than k={k}")
 
     rng = random.Random(seed)
     fold_sizes = [0] * k
     fold_of: dict[int, int] = {}
     for label in (Label.SPAM, Label.LEGITIMATE):
         ids = [m.id for m in corpus.messages if m.label is label]
-        if len(ids) < k:
-            raise ValueError(
-                f"class {label.token!r} has {len(ids)} messages, fewer than k={k}"
-            )
         rng.shuffle(ids)
         base, extra = divmod(len(ids), k)
         # Hand the +1 remainders to the currently smallest folds so that both

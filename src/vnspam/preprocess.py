@@ -63,17 +63,14 @@ class EntityRule:
             )
         try:
             regex = re.compile(self.pattern, re.IGNORECASE)
-            tree = _sre_parse.parse(self.pattern, regex.flags)  # kept for the guard
+            tree = _sre_parse.parse(self.pattern, regex.flags)
             nullable = tree.getwidth()[0] == 0
         except (re.error, OverflowError, RecursionError) as exc:  # a{2**32}, deep nesting
             raise ValueError(f"bad pattern for group {self.group!r}: {exc}") from exc
         if nullable:  # it would tag every gap between two characters
             raise ValueError(f"pattern for group {self.group!r} can match the empty string")
         object.__setattr__(self, "_regex", regex)
-        object.__setattr__(self, "_tree", tree)
-
-    def __reduce__(self):  # a parse tree does not pickle, so a copy parses anew
-        return EntityRule, (self.group, self.pattern)
+        object.__setattr__(self, "_guard", _guard(tree, regex.flags))  # a bound search pickles
 
     @property
     def regex(self) -> re.Pattern:
@@ -85,9 +82,9 @@ class EntityRule:
 
 
 # -- rule guards: as in Cox, "Regular Expression Matching with a Trigram Index"
-# (2012), a rule's parse tree names characters every match must hold; with the
-# first and last positions of Berry & Sethi, "From regular expressions to
-# deterministic automata" (1986), it also names pairs of adjacent classes.
+# (2012), a rule's parse tree names pairs of adjacent classes one of which every
+# match holds, read off the first and last positions of Berry & Sethi, "From
+# regular expressions to deterministic automata" (1986).
 _CATEGORY_TEXT = {v[1][0][1]: k for k, v in _sre_parse.CATEGORIES.items() if v[0].name == "IN"}
 
 
@@ -125,34 +122,27 @@ def _edge(parts, k):
 
 
 def _walk(nodes):
-    """Read a parse-tree sequence as (nullable, first, last, class, pairs).
+    """Read a parse-tree sequence as (nullable, first, last, pairs).
 
     first, last: class items of a nonempty match's first and last character,
-    None if it can be any. class: items every match holds a character of.
-    pairs: (A, B) item lists, one of which every match holds as adjacent
-    characters. Each of the last two is None when there is none, else the
-    least by rank. Raises ValueError on a node it cannot read."""
+    None if it can be any. pairs: (A, B) item lists, one of which every match
+    holds as adjacent characters, the least by rank; None when there is none.
+    Raises ValueError on a node it cannot read."""
     parts = []
     for op, av in nodes:
         name = op.name
         if name == "LITERAL" or (name == "IN" and av[0][0].name != "NEGATE"):
             items = [(op, av)] if name == "LITERAL" else av
-            parts.append((False, items, items, items, None))
+            parts.append((False, items, items, None))
         elif name in ("ANY", "NOT_LITERAL", "IN"):  # a negated class needs nothing
-            parts.append((False, None, None, None, None))
+            parts.append((False, None, None, None))
         elif name in ("AT", "ASSERT", "ASSERT_NOT"):  # zero-width: its neighbours meet
-            parts.append((True, [], [], None, None))
+            parts.append((True, [], [], None))
         elif name == "SUBPATTERN":  # nor a group with scoped flags: read as any text
-            parts.append((True, None, None, None, None) if av[1] or av[2] else _walk(av[3]))
-        elif name == "ATOMIC_GROUP":
-            parts.append(_walk(av))
+            parts.append((True, None, None, None) if av[1] or av[2] else _walk(av[3]))
         elif name.endswith("_REPEAT"):  # nor a repeat that may match nothing
-            nullable, first, last, cls, pairs = _walk(av[2])
-            if not av[0]:
-                nullable, cls, pairs = True, None, None
-            elif av[0] >= 2 and not nullable and first and last:  # two bodies meet
-                pairs = min(filter(None, (pairs, [(last, first)])), key=_pair_rank)
-            parts.append((nullable, first, last, cls, pairs))
+            part = _walk(av[2])
+            parts.append(part if av[0] else (True, part[1], part[2], None))
         elif name == "BRANCH":
             nullable, *cols = zip(*(_walk(b) for b in av[1]))  # each set is a union
             parts.append((any(nullable), *(None if None in c else sum(c, []) for c in cols)))
@@ -161,13 +151,12 @@ def _walk(nodes):
     solid = [i for i, part in enumerate(parts) if not part[0]]
     pairs = []
     for i, part in enumerate(parts):
-        pairs.append(part[4])
+        pairs.append(part[3])
         if solid and solid[0] <= i < solid[-1]:  # neither side of the split can match empty
             last, first = _edge(reversed(parts[: i + 1]), 2), _edge(parts[i + 1 :], 1)
             pairs.append(last and first and [(last, first)])
-    cls = min(filter(None, (part[3] for part in parts)), key=_rank, default=None)
     pairs = min(filter(None, pairs), key=_pair_rank, default=None)
-    return not solid, _edge(parts, 1), _edge(reversed(parts), 2), cls, pairs
+    return not solid, _edge(parts, 1), _edge(reversed(parts), 2), pairs
 
 
 def _class_text(items) -> str:
@@ -181,16 +170,16 @@ def _class_text(items) -> str:
     return "[%s]" % "".join(dict.fromkeys(out))
 
 
-def _guard(rule: EntityRule):
-    """``search`` of class pairs ``[A][B]|...``, one of which every match of
-    ``rule`` holds as adjacent characters, else of a class every match holds
-    a character of; None when there is neither or the pattern cannot be read."""
+def _guard(tree, flags):
+    """``search`` of class pairs ``[A][B]|...``, one of which every match of a
+    rule's parse tree holds as adjacent characters, else of the class every
+    match starts with; None when there is neither or the tree cannot be read."""
     try:
-        *_, items, pairs = _walk(rule._tree)
-        text = items and _class_text(items)
+        _, first, _, pairs = _walk(tree)
+        text = first and _class_text(first)
         if pairs:
             text = "|".join(_class_text(a) + _class_text(b) for a, b in pairs)
-        return re.compile(text, rule.regex.flags).search if text else None
+        return re.compile(text, flags).search if text else None
     except Exception:  # a guard may only skip work: in doubt the rule runs
         return None
 
@@ -202,7 +191,7 @@ class EntityRuleSet:
         self.rules = tuple(rules)
         # (bound regex.sub, placeholder, guard or None) per rule for tag_entities
         self._subs = tuple(
-            (r.regex.sub, f"{_MARK}{r.group}{_MARK}", _guard(r)) for r in self.rules
+            (r.regex.sub, f"{_MARK}{r.group}{_MARK}", r._guard) for r in self.rules
         )
 
     def __iter__(self):
@@ -235,6 +224,8 @@ class EntityRuleSet:
             text = p.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ValueError(f"rules file {p} is not valid UTF-8: {exc}") from exc
+        except OSError as exc:  # named as given: Path("") reads as "."
+            raise ValueError(f"cannot read rules file {str(path)!r}: {exc}") from exc
         return cls.from_lines(text.splitlines(), source=str(p))
 
     @classmethod

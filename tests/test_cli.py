@@ -128,6 +128,19 @@ def test_rules_file_refuses_a_rule_that_can_match_the_empty_string(tmp_path, cor
     assert out == "" and err.startswith(f"error: {rules}:1: ") and "empty string" in err
 
 
+@pytest.mark.parametrize("rules", ["", "missing.tsv"], ids=["empty-path", "missing"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "tokenize"])
+def test_an_unreadable_rules_path_is_an_error_naming_it(command, rules, tmp_path, corpus_path, capsys):
+    # "" names no file: it is not a request for the built-in rules, and reads as "."
+    model = tmp_path / "model.json"
+    flags = {"train": ["-o", str(model)], "evaluate": ["--folds", "2"]}
+    rc = main([command, str(corpus_path), "--rules", rules, *flags.get(command, [])])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read rules file {rules!r}: ")
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate", "tokenize"])
 def test_a_comment_only_rules_file_tags_nothing(command, tmp_path, capsys, monkeypatch):
     from vnspam import pipeline
@@ -990,6 +1003,16 @@ def test_evaluate_rejects_single_fold(corpus_path, capsys):
     rc = main(["evaluate", str(corpus_path), "--folds", "1"])
     assert rc == 1
     assert "--folds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("folds", [10**19, 10**12], ids=["past-index-size", "terabytes"])
+def test_evaluate_with_more_folds_than_a_class_has_messages_is_an_error(folds, corpus_path, capsys):
+    # each class is counted before any list of k items is made
+    rc = main(["evaluate", str(corpus_path), "--folds", str(folds)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: class 'spam' has ") and f"fewer than k={folds}" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_grid(tmp_path, capsys):

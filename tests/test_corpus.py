@@ -231,6 +231,13 @@ def test_folds_require_k_members_per_class():
         stratified_kfold(Corpus(msgs), 3)
 
 
+@pytest.mark.parametrize("k", [10**19, 10**12], ids=["past-index-size", "terabytes"])
+def test_folds_count_each_class_before_sizing_anything_by_k(k):
+    # [0] * 10**19 raises OverflowError and [0] * 10**12 asks for terabytes
+    with pytest.raises(ValueError, match=rf"class 'spam' has 10 messages, fewer than k={k}$"):
+        stratified_kfold(synth_corpus(30, seed=4), k)
+
+
 def test_fold_balance_on_awkward_sizes():
     """Remainders in both classes must not pile onto the same fold."""
     rng = random.Random(0)

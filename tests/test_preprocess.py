@@ -1,6 +1,5 @@
 """Entity tagging and collocation segmentation."""
 
-import inspect
 import random
 import sys
 
@@ -247,21 +246,17 @@ def test_default_rule_guards_are_pinned():
     [
         # a pair, when there is one, beats a class
         ("x+:", "[x][:]"),
-        (r"\d{2}-\d", r"[\d][\-]"),  # fewer members beat two bodies' [\d][\d]
+        (r"\d{2}-\d", r"[\d][\-]"),  # of two pairs of one rank, the first
         ("(?:ab|c)d", "[bc][d]"),  # the branch has no pair; its last class meets d
         (r"\d(?:,\d{3})*k", r"[\d][k]"),  # trailing lasts across a nullable group, deduplicated
         ("a(?=b)b", "[a][b]"),  # a lookahead consumes nothing
-        (r"\d{2,}", r"[\d][\d]"),  # two bodies meet
-        # with no pair, a class: no letter beats fewer members
-        ("(?:ab|c)", "[ac]"),  # one branch has no pair, so the class of each
-        (r"(?-i:ab)\d", r"[\d]"),  # a scoped-flag group gives no class, pair or edge
+        # with no pair, the class every match starts with
+        (r"\d{2,}", r"[\d]"),  # a repeat's two bodies make no pair
+        ("(?:ab|c)", "[ac]"),  # one branch has no pair, so the first class of each
         (r"(?:\d|:)+", r"[\d:]"),
         (r"(?<!\w)\b(?=x)k", "[k]"),  # zero-width nodes need nothing
         (r"[\]\\\-^]", r"[\]\\\-\^]"),
-        ("x?\u212a", "[\u212a]"),  # the Kelvin sign, matched case-insensitively
-        pytest.param(
-            "(?>k)x*", "[k]", marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="3.11+")
-        ),
+        ("x?\u212a", "[x\u212a]"),  # the Kelvin sign, matched case-insensitively
     ],
 )
 def test_guard_class_follows_the_parse_tree(pattern, want):
@@ -270,33 +265,48 @@ def test_guard_class_follows_the_parse_tree(pattern, want):
 
 @pytest.mark.parametrize(
     "pattern",
-    [r"\d*[^x]", "(?:a|)[^x]", "[^x]+", ".+", "(?-i:k)", r"(\d)\1+", "(a)?(?(1)b|c)"],
+    [
+        r"\d*[^x]", "(?:a|)[^x]", "[^x]+", ".+", "(?-i:k)", r"(\d)\1+", "(a)?(?(1)b|c)",
+        r"(?-i:ab)\d",  # a scoped-flag group may start a match with any character
+        "[^x]+k", ".+k",  # a match may start with any character, and k's neighbour is any
+        # an atomic group is not read, as a backreference is not
+        pytest.param("(?>k)x*", marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="3.11+")),
+    ],
 )
 def test_rules_that_need_no_class_or_cannot_be_read_get_no_guard(pattern):
     assert _guard_text(pattern) is None
 
 
-def test_rule_set_builds_unguarded_when_the_analysis_runs_out_of_stack():
-    rule = EntityRule("number", "(" * 150 + r"\d+" + ")" * 150)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 60)  # re's parser needs 2 frames a level
-    try:
-        rules = EntityRuleSet([rule])
-    finally:
-        sys.setrecursionlimit(limit)
-    assert rules._subs[0][2] is None
+def _rules_built_while_the_analysis_raises(monkeypatch, exc, rows):
+    def fail(nodes):
+        raise exc("no guard")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(preprocess, "_walk", fail)
+        rules = EntityRuleSet(EntityRule(group, pattern) for group, pattern in rows)
+    assert [rule._guard for rule in rules] == [guard for _, _, guard in rules._subs]
+    assert [rule._guard for rule in rules] == [None] * len(rows)
+    return rules
+
+
+def _assert_tags_as_every_rule_run(text, rules):
+    compiled = [(r.group, r.regex) for r in rules]
+    assert tag_entities(text, rules) == oracles.tag_entities_per_char(text, compiled, ENTITY_GROUPS)
+
+
+def test_rule_set_builds_unguarded_when_the_analysis_runs_out_of_stack(monkeypatch):
+    rows = [("number", "(" * 150 + r"\d+" + ")" * 150)]
+    rules = _rules_built_while_the_analysis_raises(monkeypatch, RecursionError, rows)
     assert tag_entities("so 12", rules) == "so <number>"
+    _assert_tags_as_every_rule_run("so 12", rules)
 
 
 def test_rule_set_builds_unguarded_when_the_analysis_fails(monkeypatch):
-    def fail(nodes):
-        raise ValueError("no guard")
-
-    monkeypatch.setattr(preprocess, "_walk", fail)
-    rules = EntityRuleSet(EntityRuleSet.default())
-    assert [guard for _, _, guard in rules._subs] == [None] * len(ENTITY_GROUPS)
+    rows = [(r.group, r.pattern) for r in EntityRuleSet.default()]  # cached before the fault
+    rules = _rules_built_while_the_analysis_raises(monkeypatch, ValueError, rows)
     text = "www.abc.vn :) 20/10 0912345678 50k 123"
     assert tag_entities(text, rules) == tag_entities(text)
+    _assert_tags_as_every_rule_run(text, rules)
 
 
 # Rule patterns drawn from a small grammar: lookarounds and \b, optional,
@@ -442,15 +452,22 @@ def test_rules_reject_patterns_that_can_match_the_empty_string(pattern):
 
 
 def test_rules_pickle_with_their_guards():
+    import copy
     import pickle
 
     def guards(rules):
-        return [guard and guard.__self__.pattern for _, _, guard in rules._subs]
+        return [guard and (guard.__self__.pattern, guard.__self__.flags) for _, _, guard in rules._subs]
 
     rules = pickle.loads(pickle.dumps(EntityRuleSet.default()))
     assert rules.rules == EntityRuleSet.default().rules
-    # EntityRuleSet(rules) reads the parse tree each unpickled rule made anew
+    # EntityRuleSet(rules) reads the guard each unpickled rule carries
     assert guards(rules) == guards(EntityRuleSet(rules)) == guards(EntityRuleSet.default())
+    text = "www.abc.vn :) 20/10 0912345678 50k 123 so 7777"
+    for rule in [*EntityRuleSet.default(), EntityRule("number", r"(\d)\1+")]:  # the last is unguarded
+        for twin in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
+            assert twin == rule
+            assert guards(EntityRuleSet([twin])) == guards(EntityRuleSet([rule]))
+            assert tag_entities(text, EntityRuleSet([twin])) == tag_entities(text, EntityRuleSet([rule]))
 
 
 def test_rules_reject_missing_tab():
