@@ -86,6 +86,10 @@ class TrainedModel:
     n_slots counts vocabulary slots plus the length slot when present; the
     vocabulary fingerprint gates prediction so a model is never applied to
     vectors built from a different vocabulary.
+
+    ``params`` is read-only: the knn rows of a fitted model share one
+    ``[slot, value]`` list between all rows holding that entry, so writing to
+    one row's entry would change every row that holds it.
     """
 
     kind: str
@@ -326,7 +330,12 @@ def _train_nb(vectors, spam_flags, alpha: float, n_slots: int) -> dict:
     for flag, key in ((1, "spam"), (0, "ham")):
         log_prior[key] = math.log(docs[flag] / total_docs)
         denom = _running_sum(counts[flag]) + alpha * n_slots
-        log_likelihood[key] = [math.log((c + alpha) / denom) for c in counts[flag]]
+        if denom == math.inf:
+            raise ValueError(f"nb smoothing alpha {alpha!r} is too large: the {key} denominator overflows")
+        probs = [(c + alpha) / denom for c in counts[flag]]
+        if 0.0 in probs:
+            raise ValueError(f"nb smoothing alpha {alpha!r} is too small: a {key} term probability underflows to 0")
+        log_likelihood[key] = [math.log(p) for p in probs]
     return {"log_prior": log_prior, "log_likelihood": log_likelihood}
 
 
@@ -542,8 +551,13 @@ def _score_dt(params: dict, vector: FeatureVector) -> float:
 
 
 def _train_knn(vectors, spam_flags) -> dict:
+    """The training rows as ``[slot, value]`` entries, one list per distinct
+    entry shared by every row that holds it. The value's type is part of the
+    key, so an int 1 and a float 1.0 in one slot stay two entries; rows hold
+    no zero, bool or non-finite value, so equal keys mean equal JSON."""
+    share = {}.setdefault
     return {
-        "rows": [[[i, v] for i, v in vec.weights.items()] for vec in vectors],
+        "rows": [[share((i, v, type(v)), [i, v]) for i, v in vec.weights.items()] for vec in vectors],
         "labels": ["spam" if f else "ham" for f in spam_flags],
     }
 

@@ -139,6 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if not args.out:  # "" names no file; refuse it before the fit, not after
+        raise ValueError("-o/--out needs a file path, got ''")
     config, rules, corpus = _inputs(args)
     fitted = FittedPipeline.fit(corpus.messages, config, rules)
     fitted.save(args.out)
@@ -192,12 +194,14 @@ def cmd_predict(args: argparse.Namespace, stdin=None) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.folds < 2:
         raise ValueError(f"--folds must be at least 2, got {args.folds}")
+    if args.csv == "":
+        raise ValueError("--csv needs a file path, got ''")
     base, rules, corpus = _inputs(args)
     folds = stratified_kfold(corpus, args.folds, seed=args.seed)
     configs = reference_grid(base) if args.grid == "paper" else [base]
     reports = run_grid(corpus, folds, configs, rules, jobs=args.jobs)
     sys.stdout.write(format_table(reports))
-    if args.csv:
+    if args.csv is not None:
         write_csv(reports, args.csv)
         print(f"wrote {args.csv}")
     return 0

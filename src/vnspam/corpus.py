@@ -93,11 +93,11 @@ def load_corpus(path: str | Path) -> Corpus:
     assigned by load order starting at 0. Only the first tab separates label
     from text, so the text may itself contain tabs and round-trips verbatim.
     """
-    p = Path(path)
+    p = str(path) or "''"  # named as given: Path("") prints as "."
     try:
-        raw = p.read_bytes()
+        raw = Path(path).read_bytes()
     except OSError as exc:
-        raise CorpusError(f"cannot read corpus file {p}: {exc}") from exc
+        raise CorpusError(f"cannot read corpus file {p}: {exc.strerror or exc}") from exc
     try:
         decoded = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

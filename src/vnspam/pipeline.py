@@ -324,6 +324,7 @@ class FittedPipeline:
         """
         doc = self._to_doc()
         p = Path(path)
+        name = str(path) or "''"  # named as given: Path("") prints as "."
         try:
             fd, tmp = tempfile.mkstemp(dir=str(p.parent) or ".", prefix=p.name, suffix=".tmp")
             try:
@@ -335,17 +336,17 @@ class FittedPipeline:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         except OSError as exc:  # name the target, not the temp file
-            raise OSError(f"cannot write model file {p}: {exc.strerror or exc}") from exc
+            raise OSError(f"cannot write model file {name}: {exc.strerror or exc}") from exc
         except (TypeError, ValueError) as exc:  # NaN, +-inf or an object json cannot encode
-            raise ModelFileError(f"cannot write model file {p}: {exc}") from exc
+            raise ModelFileError(f"cannot write model file {name}: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "FittedPipeline":
-        p = Path(path)
+        p = str(path) or "''"  # named as given: Path("") prints as "."
         try:
-            raw = p.read_text(encoding="utf-8")
+            raw = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
-            raise ModelFileError(f"cannot read model file {p}: {exc}") from exc
+            raise ModelFileError(f"cannot read model file {p}: {exc.strerror or exc}") from exc
         except UnicodeDecodeError as exc:
             raise ModelFileError(f"model file {p} is not valid UTF-8: {exc}") from exc
         try:

@@ -225,7 +225,7 @@ class EntityRuleSet:
         except UnicodeDecodeError as exc:
             raise ValueError(f"rules file {p} is not valid UTF-8: {exc}") from exc
         except OSError as exc:  # named as given: Path("") reads as "."
-            raise ValueError(f"cannot read rules file {str(path)!r}: {exc}") from exc
+            raise ValueError(f"cannot read rules file {str(path)!r}: {exc.strerror or exc}") from exc
         return cls.from_lines(text.splitlines(), source=str(p))
 
     @classmethod

@@ -118,6 +118,12 @@ def knn_exhaustive(rows, query, k) -> list[int]:
     return [idx for _, idx in scored[: min(k, len(rows))]]
 
 
+def knn_rows_plain(vectors) -> list[list[list]]:
+    """knn's stored rows as the package first built them: a new
+    ``[slot, value]`` list for every entry of every row."""
+    return [[[i, v] for i, v in vec.weights.items()] for vec in vectors]
+
+
 def knn_full_scan(params, vector) -> list[int]:
     """The knn neighbour search the inverted index replaced: every stored
     entry of every training row is multiplied by the query's value for its

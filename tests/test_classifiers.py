@@ -1,7 +1,9 @@
 """The five learners and the bracket-tag rule."""
 
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -234,6 +236,22 @@ def test_nb_scaling_every_vector_can_flip_the_argmax():
     hi = predict(big, fv({f: 10 * x for f, x in q.items()}, 2)).label
     assert lo is Label.SPAM
     assert hi is Label.LEGITIMATE
+
+
+@pytest.mark.parametrize(
+    "alpha,what",
+    [(1e308, "too large: the spam denominator overflows"), (5e-324, "too small: a spam term probability underflows")],
+)
+def test_nb_smoothing_that_leaves_no_finite_log_is_named(alpha, what):
+    # alpha * n_slots overflows to inf, or (0 + alpha) / denom rounds to 0.0:
+    # either way math.log would meet 0.0.
+    vecs = [fv({0: 2}, 3), fv({1: 2}, 3)]
+    with pytest.raises(ValueError, match="^" + re.escape(f"nb smoothing alpha {alpha!r} is {what}")):
+        train("nb", vecs, labels([1, 0]), Hyperparams(alpha=alpha))
+    # one slot keeps the 1e308 denominator finite, and counts of 1 keep
+    # the 5e-324 quotients above 0
+    train("nb", [fv({0: 2}, 1), fv({}, 1)], labels([1, 0]), Hyperparams(alpha=1e308))
+    train("nb", [fv({0: 1}, 2), fv({1: 1}, 2)], labels([1, 0]), Hyperparams(alpha=5e-324))
 
 
 # -- linear models ----------------------------------------------------------------
@@ -587,6 +605,71 @@ def test_knn_zero_products_tie_with_untouched_rows(k):
     # rank by index, ahead of row 5's negative product.
     assert want == [4, 2, 0, 1, 3, 5][:k]
     assert _knn_neighbors(model.params, query, model.knn_postings) == want
+
+
+# An int and the float equal to it hash alike; only the type in the entry key
+# keeps them apart, here below and beyond 2**53.
+_KNN_ENTRY_VALUES = st.sampled_from([1, 1.0, 2, 2.0, -1, -1.0, 0.5, 2**53, 2.0**53, 2**53 + 1, 2**63, 2.0**63])
+
+
+@st.composite
+def knn_row_sets(draw):
+    dim = draw(st.integers(1, 4))
+    length = st.sampled_from([0.0, 0.05, 1.0, 2.35]) if draw(st.booleans()) else st.none()
+
+    def vector(weights=None):
+        if weights is None:
+            weights = draw(st.dictionaries(st.integers(0, dim - 1), _KNN_ENTRY_VALUES, max_size=dim))
+        return fv(weights, dim, length=draw(length))
+
+    rows = [vector({0: 1}), vector({0: 1.0}), vector({})]
+    rows += [vector() for _ in range(draw(st.integers(0, 8)))]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))  # duplicates
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_row_sets())
+def test_knn_shared_rows_match_one_list_per_entry(rows):
+    stored = train("knn", rows, labels([i % 2 for i in range(len(rows))])).params["rows"]
+    assert repr(stored) == repr(oracles.knn_rows_plain(rows))
+    keys = {(i, v, type(v)) for row in stored for i, v in row}
+    assert len({id(entry) for row in stored for entry in row}) == len(keys)
+
+
+def test_knn_int_and_equal_float_entries_are_different_lists():
+    rows = [fv({0: 1, 1: 2**53}, 2), fv({0: 1.0, 1: 2.0**53}, 2), fv({0: 1, 1: 2.0**53}, 2)]
+    stored = train("knn", rows, labels([1, 0, 1])).params["rows"]
+    assert stored[0][0] is stored[2][0] and stored[1][1] is stored[2][1]
+    assert stored[0][0] is not stored[1][0] and stored[0][1] is not stored[1][1]
+    assert json.dumps(stored) == (
+        "[[[0, 1], [1, 9007199254740992]], [[0, 1.0], [1, 9007199254740992.0]], "
+        "[[0, 1], [1, 9007199254740992.0]]]"
+    )
+
+
+def test_knn_rows_keep_one_list_per_distinct_entry_in_memory():
+    # 45,000 entries over 600 distinct (slot, value) pairs. Shared entries
+    # leave the row lists' pointers, each row's list and norm, and the labels:
+    # about 19 bytes per entry on Python 3.11. A new [slot, value] list for
+    # every entry made it about 89.
+    import tracemalloc
+
+    rng = random.Random(0)
+    dim = 300
+    vecs = [
+        fv({f: rng.choice((1, 2)) for f in rng.sample(range(dim), rng.randint(5, 25))}, dim)
+        for _ in range(3000)
+    ]
+    labs = labels([i % 2 for i in range(len(vecs))])
+    tracemalloc.start()
+    try:
+        model = train("knn", vecs, labs)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(model.params["rows"]) == len(vecs)
+    assert retained < 32 * sum(len(v.weights) for v in vecs)
 
 
 # -- fast fit loops against the plain loops they replaced ---------------------------

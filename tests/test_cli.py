@@ -141,6 +141,61 @@ def test_an_unreadable_rules_path_is_an_error_naming_it(command, rules, tmp_path
     assert not model.exists()
 
 
+@pytest.mark.parametrize("alpha", ["1e308", "5e-324"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_nb_smoothing_with_no_finite_log_is_an_error_naming_alpha(command, alpha, tmp_path, capsys):
+    # alpha * n_slots overflows, or an unseen term's (0 + alpha) / denom rounds to 0.0
+    corpus = tmp_path / "c.tsv"
+    save_corpus(synth_corpus(300, seed=3), corpus)
+    model = tmp_path / "model.json"
+    flags = ["-o", str(model)] if command == "train" else ["--folds", "2"]
+    rc = main([command, str(corpus), "--clf", "nb", "--alpha", alpha, "--min-df", "1", *flags])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    too = "large" if alpha == "1e308" else "small"
+    assert out == "" and err.startswith(f"error: nb smoothing alpha {float(alpha)!r} is too {too}: ")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["train", "CORPUS", "-o", ""], "-o/--out needs a file path, got ''"),
+        (["evaluate", "CORPUS", "--csv", ""], "--csv needs a file path, got ''"),
+    ],
+    ids=["train-out", "evaluate-csv"],
+)
+def test_an_empty_output_path_is_refused_before_any_work(argv, message, corpus_path, capsys, monkeypatch):
+    from vnspam import cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(cli, "load_corpus", boom)
+    rc = main([str(corpus_path) if a == "CORPUS" else a for a in argv])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,rc,what",
+    [
+        (["predict", ""], 2, "model"),
+        (["tokenize", ""], 1, "corpus"),
+        (["train", "", "-o", "m.json"], 1, "corpus"),
+        (["evaluate", ""], 1, "corpus"),
+    ],
+    ids=["predict", "tokenize", "train", "evaluate"],
+)
+def test_an_empty_input_path_is_named_as_given(argv, rc, what, tmp_path, capsys, monkeypatch):
+    # "" reads ".", a directory; the error names "", not "."
+    monkeypatch.chdir(tmp_path)
+    assert main(argv, stdin=io.BytesIO(b"")) == rc
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {what} file '': ") and "." not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate", "tokenize"])
 def test_a_comment_only_rules_file_tags_nothing(command, tmp_path, capsys, monkeypatch):
     from vnspam import pipeline

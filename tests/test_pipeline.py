@@ -285,6 +285,40 @@ def test_knn_save_streams_instead_of_holding_the_file(tmp_path):
     assert peak < path.stat().st_size
 
 
+def test_knn_copies_and_a_reload_predict_and_save_alike(tmp_path):
+    # The fitted rows share one list per distinct entry; pickle and deepcopy
+    # keep that sharing, and a loaded file holds one list per entry.
+    import copy
+    import pickle
+
+    fitted = FittedPipeline.fit(synth_corpus(200, seed=3).messages, PipelineConfig(classifier="knn"))
+    path = tmp_path / "knn.json"
+    fitted.save(path)
+    copies = [pickle.loads(pickle.dumps(fitted)), copy.deepcopy(fitted), FittedPipeline.load(path)]
+    entries = [len({id(e) for row in c.model.params["rows"] for e in row}) for c in [fitted, *copies]]
+    assert entries[0] == entries[1] == entries[2] < entries[3]
+    texts = [m.text for m in synth_corpus(40, seed=21).messages]
+    want = [fitted.predict_text(t) for t in texts]
+    for i, other in enumerate(copies):
+        assert [other.predict_text(t) for t in texts] == want
+        other.save(tmp_path / f"{i}.json")
+        assert (tmp_path / f"{i}.json").read_bytes() == path.read_bytes()
+
+
+def test_an_empty_path_is_named_as_given(tmp_path, monkeypatch):
+    # "" reads and writes ".", but the messages name the path the caller gave
+    from vnspam import CorpusError, load_corpus
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ModelFileError, match=r"^cannot read model file '': [^.]*$"):
+        FittedPipeline.load("")
+    with pytest.raises(CorpusError, match=r"^cannot read corpus file '': [^.]*$"):
+        load_corpus("")
+    with pytest.raises(OSError, match=r"^cannot write model file '': [^.]*$"):
+        fit_small().save("")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(ModelFileError, match="cannot read"):
         FittedPipeline.load(tmp_path / "nope.json")
