@@ -120,6 +120,9 @@ def _check_vector(values, n_slots: int, what: str) -> None:
 
 
 def _check_nb(params: dict, n_slots: int) -> None:
+    for name in ("log_prior", "log_likelihood"):
+        if type(params[name]) is not dict or params[name].keys() != {"spam", "ham"}:
+            raise ValueError(f"nb {name} must have exactly the keys 'spam' and 'ham'")
     for key in ("spam", "ham"):
         if not _is_number(params["log_prior"][key]):
             raise ValueError(f"nb log_prior[{key!r}] is not a number")
@@ -132,12 +135,18 @@ def _check_linear(params: dict, n_slots: int) -> None:
         raise ValueError("bias is not a number")
 
 
+# the keys train() writes in a dt split node, and in a leaf
+_DT_NODE_KEYS = ({"feature", "threshold", "left", "right"}, {"spam_fraction", "samples"})
+
+
 def _check_dt(params: dict, n_slots: int) -> None:
     nodes = params["nodes"]
     if not _is_index(params["root"], len(nodes)):
         raise ValueError(f"dt root {params['root']!r} is not a node index")
     for j, node in enumerate(nodes):
-        if "feature" in node:
+        if type(node) is not dict or node.keys() not in _DT_NODE_KEYS:
+            ok = False
+        elif "feature" in node:
             # train() appends both children before their parent, so a child
             # index below the parent's also rules out cycles.
             ok = (
@@ -208,9 +217,9 @@ def train(kind, vectors, labels, hp: Hyperparams | None = None, orders=None) -> 
     """Fit one classifier of the given kind.
 
     Vectors must all come from the same vocabulary (same fingerprint, same
-    dimension, length feature either on everywhere or off everywhere) and both
-    classes must be present. The baseline kind has no trainable state and
-    accepts empty inputs.
+    dimension, length feature either on everywhere or off everywhere), every
+    label must be a ``Label`` and both classes must be present. The baseline
+    kind has no trainable state and accepts empty inputs.
 
     ``orders`` may hold svm/lr's row visiting orders, one sequence per epoch,
     as materialized from ``epoch_orders(hp.seed, len(vectors), hp.epochs)``
@@ -233,7 +242,9 @@ def train(kind, vectors, labels, hp: Hyperparams | None = None, orders=None) -> 
     fingerprint = vectors[0].vocab_fingerprint
     dim = vectors[0].dim
     has_length = vectors[0].has_length
-    for i, v in enumerate(vectors):
+    for i, (v, lab) in enumerate(zip(vectors, labels)):
+        if not isinstance(lab, Label):
+            raise ValueError("cannot train on unlabeled messages" if lab is None else f"label {i} is {lab!r}, not a Label")
         if v.vocab_fingerprint != fingerprint:
             raise ValueError(f"vector {i} was built from a different vocabulary")
         if v.dim != dim:

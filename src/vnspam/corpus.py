@@ -62,8 +62,10 @@ class Corpus:
             if m.id in seen:
                 raise CorpusError(f"duplicate message id {m.id}")
             seen.add(m.id)
-            if m.label is not None:
+            if isinstance(m.label, Label):
                 counts[m.label] += 1
+            elif m.label is not None:
+                raise CorpusError(f"message {m.id} has label {m.label!r}, not a Label")
         self._messages = msgs
         self._counts = counts
 

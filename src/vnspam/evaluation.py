@@ -155,40 +155,28 @@ def cross_validate(
 
     All fitted state (collocations, vocabulary, classifier) comes from the
     training folds only. Every held-out fold must contain both classes so its
-    rates are defined. Folds are fitted and scored by the stages of
-    ``FittedPipeline.fit`` and ``predict_text``. Each message is normalized
-    once for all folds, and each segment fit with its segmented streams,
-    vocabulary and svm/lr visiting order is built once for all the folds that
-    read it. ``plan`` may carry those stage outputs when the caller shares
-    them across configurations, as ``run_grid`` does. The rule baseline has
-    nothing to fit: each message is scored once, and each fold reads its own.
+    rates are defined; all are checked before the first fit. Folds are fitted
+    and scored by the stages of ``FittedPipeline.fit`` and ``predict_text``.
+    Each message is normalized once, and each segment fit with its segmented
+    streams, vocabulary and svm/lr visiting order is built once for all the
+    folds that read it. ``plan`` may carry the fold split and these when the
+    caller shares them across configurations, as ``run_grid`` does. The rule
+    baseline has nothing to fit: each message is scored once.
     """
     config = config or PipelineConfig()
     config.validate()
     folds.validate()
-    _require_labels(corpus, "evaluate")
-    if set(folds.fold_of) != {m.id for m in corpus.messages}:
-        raise ValueError("fold assignment does not cover exactly this corpus")
-    if folds.k < 2:
-        raise ValueError("need at least two folds")
+    plan = plan or _Plan(corpus, folds, [] if config.classifier == "baseline" else [config])
     if config.classifier == "baseline":  # the rule reads only the (NFC) text
         scored = [rule_baseline(_nfc(m.text, config)).label for m in corpus.messages]
     else:
-        plan = plan or _Plan(folds, [config])
         rows = plan.get(_normalize_key(config), lambda: _normalize_all(corpus.messages, config, rules))
 
     outcomes = []
-    for f in range(folds.k):
-        test, training = [], []
-        for i, m in enumerate(corpus.messages):
-            (test if folds.fold_of[m.id] == f else training).append(i)
-        gold = [corpus.messages[i].label for i in test]
-        if Label.SPAM not in gold or Label.LEGITIMATE not in gold:
-            raise ValueError(f"fold {f} does not contain both classes")
+    for f, (test, training, gold, labels) in enumerate(plan.folds):
         if config.classifier == "baseline":
             predicted = [scored[i] for i in test]
         else:
-            labels = [corpus.messages[i].label for i in training]
             predicted = _fit_fold(f, training, labels, test, rows, config, rules, plan)
         counts = confusion(gold, predicted)
         outcomes.append(FoldOutcome(fold=str(f), counts=counts, rates=rates(counts)))
@@ -221,23 +209,36 @@ def _stage_keys(config: PipelineConfig, fold: int, n_train: int) -> dict:
 
 
 class _Plan:
-    """Stage outputs that the (config, fold) fits of one run share.
+    """One run's fold split, and the stage outputs its (config, fold) fits share.
 
-    Before any fit it counts the readers of each key. ``get`` builds an entry
-    on its first read, keeps it while readers remain and drops it after the
-    last one, so an entry with one reader is never kept. Training data cannot
-    leak across folds: every entry fitted on training rows has the fold in
-    its key.
+    Before any fit it checks the folds against the corpus, splits it into
+    ``folds`` and counts the readers of each key. ``get`` builds an entry on
+    its first read, keeps it while readers remain and drops it after the last
+    one, so an entry with one reader is never kept. Training data cannot leak
+    across folds: every entry fitted on training rows has the fold in its key.
     """
 
-    def __init__(self, folds: FoldAssignment, configs):
-        sizes = folds.fold_sizes()
+    def __init__(self, corpus: Corpus, folds: FoldAssignment, configs):
+        _require_labels(corpus, "evaluate")
+        if set(folds.fold_of) != {m.id for m in corpus.messages}:
+            raise ValueError("fold assignment does not cover exactly this corpus")
+        if folds.k < 2:
+            raise ValueError("need at least two folds")
+        self.folds = []  # per fold: held-out and training row indices, and their labels
+        for f in range(folds.k):
+            test, training = [], []
+            for i, m in enumerate(corpus.messages):
+                (test if folds.fold_of[m.id] == f else training).append(i)
+            gold = [corpus.messages[i].label for i in test]
+            if Label.SPAM not in gold or Label.LEGITIMATE not in gold:
+                raise ValueError(f"fold {f} does not contain both classes")
+            self.folds.append((test, training, gold, [corpus.messages[i].label for i in training]))
         self.readers: Counter = Counter()
         self.kept: dict = {}
         for cfg in configs:
             self.readers[_normalize_key(cfg)] += 1
-            for f in range(folds.k):
-                keys = _stage_keys(cfg, f, len(folds.fold_of) - sizes[f]).values()
+            for f, (_, training, _, _) in enumerate(self.folds):
+                keys = _stage_keys(cfg, f, len(training)).values()
                 self.readers.update(k for k in keys if k is not None)
 
     def get(self, key, build):
@@ -309,7 +310,7 @@ def run_grid(
         with ProcessPoolExecutor(max_workers=n) as pool:
             done = pool.map(partial(run_grid, corpus, folds, rules=rules), chunks)
             return [report for chunk in done for report in chunk]
-    plan = _Plan(folds, [cfg for cfg in configs if cfg.classifier != "baseline"])
+    plan = _Plan(corpus, folds, [cfg for cfg in configs if cfg.classifier != "baseline"])
     return [
         evaluate_baseline(corpus, cfg) if cfg.classifier == "baseline"
         else cross_validate(corpus, folds, cfg, rules, plan)

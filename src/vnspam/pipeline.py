@@ -225,8 +225,6 @@ def _fit_rows(
     before the learner runs. ``plan(stage, build)`` returns the ``"segment"``
     (models, segmented streams), ``"vocabulary"`` and ``"orders"`` outputs:
     ``fit`` builds each in place, evaluation shares them across fits."""
-    if any(lab is None for lab in labels):
-        raise ValueError("cannot train on unlabeled messages")
     streams = [n.tokens for n in rows]
     collocations, streams = plan(
         "segment", lambda: fit_segmentation(streams, config) if config.preprocess else ([], streams)

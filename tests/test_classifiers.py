@@ -112,6 +112,18 @@ def test_train_rejects_single_class():
         train("nb", [fv({0: 1}, 1), fv({0: 2}, 1)], labels([1, 1]))
 
 
+@pytest.mark.parametrize("kind", ["nb", "svm", "dt", "knn"])
+@pytest.mark.parametrize("bad", [None, "spam", 1, True])
+def test_train_refuses_a_label_that_is_not_a_label(kind, bad):
+    vecs = [fv({0: 1}, 1), fv({0: 2}, 1), fv({0: 3}, 1)]
+    if bad is None:
+        match = "cannot train on unlabeled messages"
+    else:
+        match = re.escape(f"label 1 is {bad!r}, not a Label")
+    with pytest.raises(ValueError, match=match):
+        train(kind, vecs, [Label.SPAM, bad, Label.LEGITIMATE])
+
+
 def test_train_rejects_mixed_vocabularies():
     vecs = [fv({0: 1}, 1, fp="aaa"), fv({0: 1}, 1, fp="bbb")]
     with pytest.raises(ValueError, match="different vocabulary"):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -451,6 +452,28 @@ def _knn_row_index(value):
     return mutate
 
 
+def _dt_node(which, **keys):
+    def mutate(params):
+        node = next(n for n in params["nodes"] if ("feature" in n) == (which == "split"))
+        node.update(keys)
+
+    return mutate
+
+
+# (kind, edit of the saved params, the error it gives): a learned dict or dt
+# node holding a key train() never writes
+EXTRA_KEYS = {
+    "nb-prior-extra-key": (
+        "nb", lambda p: p["log_prior"].update(junk=1.0), "nb log_prior must have exactly the keys"
+    ),
+    "nb-likelihood-extra-key": (
+        "nb", lambda p: p["log_likelihood"].update(junk=[0.0]), "nb log_likelihood must have exactly the keys"
+    ),
+    "dt-split-extra-key": ("dt", _dt_node("split", junk=1), r"dt node \d+ is malformed"),
+    "dt-leaf-extra-key": ("dt", _dt_node("leaf", junk=1), r"dt node \d+ is malformed"),
+    "dt-leaf-with-feature": ("dt", _dt_node("leaf", feature=0), r"dt node \d+ is malformed"),
+}
+
 # (kind, edit of the saved params); each breaks one rule the loader checks
 BAD_PARAMS = {
     "nb-likelihood-cut": ("nb", lambda p: p["log_likelihood"]["spam"].pop()),
@@ -496,6 +519,21 @@ def test_predict_rejects_bad_model_params(case, saved_models, tmp_path, capsys):
     rc = main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai goi ngay\n"))
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", sorted(EXTRA_KEYS))
+def test_learned_dicts_and_dt_nodes_hold_only_the_keys_train_writes(case, saved_models, tmp_path, capsys):
+    kind, mutate, message = EXTRA_KEYS[case]
+    doc = json.loads(saved_models[kind].read_text(encoding="utf-8"))
+    mutate(doc["model"]["params"])
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFileError, match=f"^model file {re.escape(str(path))} is malformed: {message}"):
+        FittedPipeline.load(path)
+    capsys.readouterr()
+    assert main(["predict", str(path)], stdin=io.BytesIO(b"khuyen mai\n")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model file {path} is malformed: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Corpus loading, saving and stratified fold assignment."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,12 @@ def test_save_refuses_exactly_what_load_cannot_read_back(rows, tmp_path_factory)
 def test_duplicate_ids_rejected():
     with pytest.raises(CorpusError, match="duplicate"):
         Corpus([Message(0, "a", Label.SPAM), Message(0, "b", Label.SPAM)])
+
+
+@pytest.mark.parametrize("bad", ["spam", 1, True])
+def test_a_label_that_is_not_a_label_is_a_corpus_error(bad):
+    with pytest.raises(CorpusError, match=re.escape(f"message 0 has label {bad!r}, not a Label")):
+        Corpus([Message(0, "a", bad)])
 
 
 def test_class_counts_skips_unlabeled():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vnspam import (
     ConfusionCounts,
@@ -200,6 +202,32 @@ def test_cross_validate_rejects_one_class_fold():
     folds = FoldAssignment(k=2, fold_of={0: 0, 1: 0, 2: 1, 3: 1})
     with pytest.raises(ValueError, match="both classes"):
         cross_validate(corpus, folds, FAST)
+
+
+@pytest.mark.parametrize("run", ["cross_validate", "grid", "baseline-grid"])
+def test_every_fold_is_checked_before_any_fold_fits(run, monkeypatch):
+    from vnspam import evaluation
+
+    fits = []
+    real = evaluation._fit_rows
+
+    def counting(*args):
+        fits.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(evaluation, "_fit_rows", counting)
+    corpus = synth_corpus(40, seed=3)
+    ham = [m.id for m in corpus.messages if m.label is Label.LEGITIMATE]
+    # fold 0 holds every spam message and half the ham, fold 1 ham only
+    fold_of = {m.id: 0 if m.label is Label.SPAM else ham.index(m.id) % 2 for m in corpus.messages}
+    folds = FoldAssignment(k=2, fold_of=fold_of)
+    configs = reference_grid(PipelineConfig(epochs=2))
+    with pytest.raises(ValueError, match="^fold 1 does not contain both classes$"):
+        if run == "cross_validate":
+            cross_validate(corpus, folds, FAST)
+        else:
+            run_grid(corpus, folds, configs[:1] if run == "baseline-grid" else configs)
+    assert fits == []
 
 
 @pytest.mark.parametrize("bad", [-1, 7, 1.0])
@@ -524,6 +552,36 @@ def _unshared_grid(corpus, folds, configs, rules=None):
         else _unshared_cross_validate(corpus, folds, cfg, rules)
         for cfg in configs
     ]
+
+
+@st.composite
+def uneven_folds(draw):
+    """A corpus and a hand-made fold assignment of 2 to 6 folds: each fold
+    gets one message of each class, and every other message any fold."""
+    corpus = synth_corpus(draw(st.integers(30, 48)), seed=draw(st.integers(0, 9)), spam_ratio=0.4)
+    k = draw(st.integers(2, 6))
+    fold_of = {}
+    for label in Label:
+        ids = [m.id for m in corpus.messages if m.label is label]
+        assume(len(ids) >= k)
+        rest = draw(st.lists(st.integers(0, k - 1), min_size=len(ids) - k, max_size=len(ids) - k))
+        fold_of.update(zip(ids, [*range(k), *rest]))
+    return corpus, FoldAssignment(k=k, fold_of=fold_of)
+
+
+_EPOCHS_2_GRID = reference_grid(PipelineConfig(epochs=2))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    case=uneven_folds(),
+    configs=st.lists(st.sampled_from(_EPOCHS_2_GRID), min_size=1, max_size=3),
+)
+def test_shared_runs_match_the_unshared_loop_on_uneven_folds(case, configs):
+    corpus, folds = case
+    unshared = [_unshared_cross_validate(corpus, folds, cfg) for cfg in configs]
+    assert [cross_validate(corpus, folds, cfg) for cfg in configs] == unshared
+    assert run_grid(corpus, folds, configs, jobs=1) == _unshared_grid(corpus, folds, configs)
 
 
 def _decomposed(corpus):

@@ -92,6 +92,16 @@ def test_fit_rejects_empty_and_unlabeled():
         FittedPipeline.fit(msgs, FAST)
 
 
+def test_fit_refuses_a_label_that_is_not_a_label():
+    msgs = [
+        Message(0, "khuyen mai goi ngay", Label.SPAM),
+        Message(1, "qua tang mien phi", "spam"),
+        Message(2, "an com chua", Label.LEGITIMATE),
+    ]
+    with pytest.raises(ValueError, match="label 1 is 'spam', not a Label"):
+        FittedPipeline.fit(msgs, FAST)
+
+
 def test_baseline_fit_has_no_feature_space(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the rule baseline fits no stage")
