@@ -367,11 +367,23 @@ def _score_nb(params: dict, vector: FeatureVector) -> float:
 def epoch_orders(seed: int, n: int, epochs: int):
     """svm/lr's row visiting order for each epoch: one list of range(n),
     shuffled again by one seeded generator and yielded in place, so a caller
-    that keeps an order must copy it."""
-    rng = random.Random(seed)
+    that keeps an order must copy it.
+
+    Each shuffle is the Fisher-Yates loop of ``random.Random(seed).shuffle``
+    in Python 3.10 to 3.13, written out over ``getrandbits``: the same orders
+    without a method call per swap, and pinned here rather than by the
+    interpreter, which promises only that ``random()`` stays stable.
+    """
+    getrandbits = random.Random(seed).getrandbits
     order = list(range(n))
+    # swap position i with a j drawn below m = i + 1 by rejection on bits
+    steps = [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
     for _ in range(epochs):
-        rng.shuffle(order)
+        for i, m, bits in steps:
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            order[i], order[j] = order[j], order[i]
         yield order
 
 

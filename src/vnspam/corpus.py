@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ __all__ = [
 ]
 
 # Line breaks that must never survive inside a message text.
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class CorpusError(ValueError):
@@ -32,14 +33,17 @@ class Label(enum.Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "Label":
-        for member in cls:
-            if member.value == token:
-                return member
-        raise ValueError(f"unknown label token {token!r} (expected 'spam' or 'ham')")
+        label = _LABELS.get(token)
+        if label is None:
+            raise ValueError(f"unknown label token {token!r} (expected 'spam' or 'ham')")
+        return label
 
     @property
     def token(self) -> str:
         return self.value
+
+
+_LABELS = {label.value: label for label in Label}
 
 
 @dataclass(frozen=True)
@@ -128,9 +132,8 @@ def _text_fault(text: str) -> str | None:
     """Why ``load_corpus`` cannot read ``text`` back as one message text, or None."""
     if not text.strip():
         return "empty message text"
-    if any(map(text.__contains__, _LINE_BREAKS)):
-        bad = next(ch for ch in text if ch in _LINE_BREAKS)
-        return f"line-break character {bad!r} inside message text"
+    if bad := _LINE_BREAK.search(text):
+        return f"line-break character {bad.group()!r} inside message text"
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

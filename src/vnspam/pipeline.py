@@ -2,9 +2,11 @@
 
 A FittedPipeline bundles everything prediction needs: the entity rules, the
 collocation models (one per segmentation pass), the vocabulary and the trained
-classifier. Model files are versioned JSON written by ``json.dump`` with sorted
-keys and shortest round-trip floats, so the same fit always produces
-byte-identical bytes, save/load/save reproduces them, and files can be diffed.
+classifier. Model files are versioned JSON: the text
+``json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False)`` gives, with
+shortest round-trip floats, streamed to the file by ``_write_json``. So the
+same fit always produces byte-identical bytes, save/load/save reproduces them,
+and files can be diffed.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 import tempfile
 import unicodedata
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
@@ -327,7 +330,7 @@ class FittedPipeline:
             fd, tmp = tempfile.mkstemp(dir=str(p.parent) or ".", prefix=p.name, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                    json.dump(doc, fh, indent=1, sort_keys=True, ensure_ascii=False, allow_nan=False)
+                    _write_json(doc, 0, fh.write)
                     fh.write("\n")
                 os.replace(tmp, p)
             finally:
@@ -335,7 +338,7 @@ class FittedPipeline:
                     os.unlink(tmp)
         except OSError as exc:  # name the target, not the temp file
             raise OSError(f"cannot write model file {name}: {exc.strerror or exc}") from exc
-        except (TypeError, ValueError) as exc:  # NaN, +-inf or an object json cannot encode
+        except (TypeError, ValueError) as exc:  # NaN, +-inf, a lone surrogate or a non-JSON object
             raise ModelFileError(f"cannot write model file {name}: {exc}") from exc
 
     @classmethod
@@ -452,6 +455,88 @@ def _same(stored, built) -> bool:
     if type(built) is float and type(stored) is int:
         return stored == built
     return type(stored) is type(built) and stored == built
+
+
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+# JSON text of each exact scalar type, as ``json`` spells it; keyed by exact
+# type, so True and False are never spelled by int's repr
+_SCALAR_TEXT = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _scalar_text(value) -> str:
+    """JSON text of a value that is no container. A subclass of str, int or
+    float, such as an ``IntEnum`` in a config field, is spelled as its base
+    type, as ``json`` does."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _SCALAR_TEXT[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_PIECES = 1024  # most text pieces _write_json buffers in a long container
+
+
+def _write_json(obj, level: int, write) -> None:
+    """Write ``obj``, nested ``level`` deep, as the text of ``json.dumps(obj,
+    indent=1, sort_keys=True, ensure_ascii=False, allow_nan=False)``.
+
+    Dict keys must be strings. The text is buffered in pieces and written
+    out before each nested container, at each container's end and every
+    ``_PIECES`` pieces of a long run of scalars, so what is held at a time
+    does not grow with the document. NaN and +-inf raise ``ValueError`` and
+    anything that is no JSON value ``TypeError``, as in ``json``.
+    """
+    if isinstance(obj, dict):
+        opening, closing, items = "{", "}", sorted(obj.items())
+    elif isinstance(obj, (list, tuple)):
+        opening, closing, items = "[", "]", obj
+    else:
+        write(_scalar_text(obj))
+        return
+    if not items:
+        write(opening + closing)
+        return
+    close = "\n" + " " * level
+    sep = close + " "
+    next_sep = "," + sep
+    buf = [opening]
+    long = len(items) > _PIECES  # a shorter container goes out in one write
+    for item in items:
+        buf.append(sep)
+        sep = next_sep
+        if closing == "}":
+            key, item = item
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            buf.append(encode_basestring(key) + ": ")
+        text = _SCALAR_TEXT.get(type(item))
+        if text is not None:
+            buf.append(text(item))
+            if long and len(buf) > _PIECES:
+                write("".join(buf))
+                buf.clear()
+        elif isinstance(item, (dict, list, tuple)):
+            write("".join(buf))
+            buf.clear()
+            _write_json(item, level + 1, write)
+        else:
+            buf.append(_scalar_text(item))
+    buf.append(close + closing)
+    write("".join(buf))
 
 
 def _finite_float(literal: str) -> float:

@@ -842,6 +842,28 @@ def test_precomputed_orders_train_the_same_params(instance, kind):
     assert repr(got.params) == repr(train(kind, rows, labels(flags), hp).params)
 
 
+def _shuffled_orders(seed, n, epochs):
+    rng = random.Random(seed)
+    order = list(range(n))
+    out = []
+    for _ in range(epochs):
+        rng.shuffle(order)
+        out.append(list(order))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1200, 5000])
+def test_epoch_orders_equal_random_shuffle_at_fixed_sizes(n):
+    for seed in (0, 42, 2**70):
+        assert [list(o) for o in epoch_orders(seed, n, 3)] == _shuffled_orders(seed, n, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-(2**80), max_value=2**80), st.integers(0, 300), st.integers(0, 4))
+def test_epoch_orders_match_random_shuffle(seed, n, epochs):
+    assert [list(o) for o in epoch_orders(seed, n, epochs)] == _shuffled_orders(seed, n, epochs)
+
+
 def test_orders_of_the_wrong_shape_are_refused():
     rows = [fv({0: 1}, 2), fv({1: 1}, 2), fv({0: 2}, 2)]
     labs = labels([1, 0, 1])

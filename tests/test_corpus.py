@@ -17,6 +17,7 @@ from vnspam import (
     save_corpus,
     stratified_kfold,
 )
+from vnspam.corpus import _text_fault
 
 from conftest import synth_corpus
 
@@ -96,6 +97,24 @@ def test_line_break_error_names_the_first_in_text_order(tmp_path):
     with pytest.raises(CorpusError) as exc:
         load_corpus(p)
     assert str(exc.value) == f"{p}:2: line-break character '\\u2029' inside message text"
+
+
+def test_every_character_that_splits_a_line_is_refused_by_name():
+    # the refused characters are exactly those str.splitlines breaks at
+    for code in range(0x10000):
+        text = f"a{chr(code)}b"
+        breaks = len(text.splitlines()) > 1
+        fault = _text_fault(text)
+        assert fault == (f"line-break character {chr(code)!r} inside message text" if breaks else None)
+
+
+def test_label_tokens_are_exact():
+    assert Label.from_token("spam") is Label.SPAM
+    assert Label.from_token("ham") is Label.LEGITIMATE
+    for token in ("Spam", "legitimate", "", "spam "):
+        with pytest.raises(ValueError) as exc:
+            Label.from_token(token)
+        assert str(exc.value) == f"unknown label token {token!r} (expected 'spam' or 'ham')"
 
 
 def test_save_load_round_trip(tmp_path):
