@@ -184,9 +184,9 @@ def cross_validate(
 
 
 def _fit_fold(fold, training, labels, test, normalized, config, rules, plan) -> list[Label]:
-    """Fit on the ``training`` rows and label the ``test`` rows. Not inlined
-    into the fold loop: a loop variable would keep each fold's model alive
-    while the next fold fits, which raises the grid's peak memory."""
+    """Fit on the ``training`` rows and label the ``test`` rows. Kept apart
+    from the fold loop so that each (config, fold) fit is one call: the unit
+    a per-fold fit counter (ROADMAP item 1) may count."""
     rows = [normalized[i] for i in training]
     fitted = _fit_rows(rows, labels, config, rules, plan.stages(config, fold, len(training)))
     return [predict(fitted.model, fitted._vector(normalized[i])).label for i in test]

@@ -274,8 +274,8 @@ def test_save_leaves_no_temp_files(tmp_path):
 
 @pytest.mark.parametrize(
     "bad",
-    [float("nan"), float("inf"), {1, 2}, float("-inf"), object(), "a\ud800b"],
-    ids=["nan", "inf", "set", "-inf", "object", "lone-surrogate"],
+    [float("nan"), float("inf"), {1, 2}, float("-inf"), object(), "a\ud800b", {1: 0}],
+    ids=["nan", "inf", "set", "-inf", "object", "lone-surrogate", "int-key"],
 )
 def test_failed_save_keeps_the_old_file(tmp_path, bad):
     path = tmp_path / "m.json"
@@ -285,8 +285,10 @@ def test_failed_save_keeps_the_old_file(tmp_path, bad):
     # "model" sorts after "collocations", "config" and "entity_rules", so
     # the writer has already streamed part of the file when it meets the bad value
     fitted.model.params["zz"] = bad
-    with pytest.raises(ModelFileError):
+    with pytest.raises(ModelFileError) as exc:
         fitted.save(path)
+    if isinstance(bad, dict):  # json.dumps would write the key 1 as "1"
+        assert "keys must be str, not int" in str(exc.value)
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
     assert path.read_bytes() == before
 

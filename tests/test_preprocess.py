@@ -63,6 +63,9 @@ def test_tagging_plain_text_untouched():
         ("50.000d", "<currency>"),
         ("2trieu", "<currency>"),
         ("123", "<number>"),
+        # each entity tags on its own when all six families meet back to back
+        ("www.abc.vn :) 20/10 0912345678 50k 123", "<link> <emoticon> <date> <phone> <currency> <number>"),
+        ("20/10:)", "<date> <emoticon>"),
     ],
 )
 def test_tagging_single_entities(raw, expected):
@@ -103,6 +106,9 @@ def test_tagging_preserves_reserved_tokens():
     [
         ("www.abc.vn<phone> nhe", "<link> <phone> nhe"),
         ("xem abc.vn/<date>x nhe", "xem <link> <date> x nhe"),
+        # a literal reserved token with no link before it, and one in near-miss brackets
+        ("Goi <PHONE> nhe, it's 50k", "goi <phone> nhe it's <currency>"),
+        ("a<b>c <<date>>", "a b c <date>"),
     ],
 )
 def test_reserved_token_right_after_a_link_is_kept(text, want):
@@ -400,6 +406,13 @@ def test_guarded_tagging_matches_every_rule_run(rule_rows, text):
     assert "\x00" not in got
 
 
+# guarded rules (a negated class before "\.vn", a nullable branch before "\)")
+# beside a backreference rule, which runs unguarded
+_GUARDED_AND_BACKREFERENCE = [
+    ("link", r"[^\s]+\.vn"), ("number", r"(\d)\1+"), ("emoticon", r"(?::|=|)\)"), ("currency", r"\d+k"),
+]
+
+
 @pytest.mark.parametrize(
     "rows, text, want",
     [
@@ -407,8 +420,21 @@ def test_guarded_tagging_matches_every_rule_run(rule_rows, text):
         ([("phone", r"\d{3}"), ("number", r"\x00\w+")], "goi 123 nhe", "goi <number> nhe"),
         # the number rule takes the group name out from between the link's marks
         ([("link", r"www\.\S+"), ("number", r"\b[a-m]\w*")], "xem www.abc.vn nhe", "xem <number> nhe"),
+        # no mark is torn in these three
+        (
+            _GUARDED_AND_BACKREFERENCE,
+            "Vao shop.VN nhe, 1111 hay 50k :) =) )",
+            "vao <link> nhe <number> hay <currency> <emoticon> <emoticon> <emoticon>",
+        ),
+        (_GUARDED_AND_BACKREFERENCE, "so 12 va 7777 (ok)", "so 12 va <number> ok <emoticon>"),
+        # rules guarded by character pairs read across a nullable group and a lookbehind
+        (
+            [("currency", r"(?<!\d)\d{1,3}(?:[.,]\d{3})*k"), ("date", r"\d{1,2}/\d{1,2}")],
+            "Gia 1.000k, 12k va 1234k; ngay 12/10 hay 1/2/3 (5k) x9/9 1,000.000K",
+            "gia <currency> <currency> va 1234k ngay <date> hay <date> 3 <currency> x <date> <currency>",
+        ),
     ],
-    ids=["mark-eaten", "group-name-eaten"],
+    ids=["mark-eaten", "group-name-eaten", "guards-beside-a-backreference", "backreference-unguarded", "pair-guards"],
 )
 def test_torn_placeholder_marks_become_spaces(rows, text, want):
     rules = EntityRuleSet(EntityRule(group, pattern) for group, pattern in rows)
